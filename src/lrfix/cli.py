@@ -15,7 +15,7 @@ import sys
 from .grammar import GrammarError, parse_grammar
 from .lexer import LexError, LexSpec, LexSpecError, Token
 from .lrtable import build_tables
-from .parser import RecoveryParams, RecoveryReport, parse, render_repairs, tree_text
+from .parser import RECOVERERS, RecoveryParams, RecoveryReport, parse, render_repairs, tree_text
 
 
 def _format_report(report: RecoveryReport, src: str, toks: list[Token]) -> str:
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
     ap.add_argument("input", help="source file to parse")
     ap.add_argument(
         "--recoverer",
-        choices=["cpctplus", "cpctplus-rev", "panic", "none"],
+        choices=RECOVERERS,
         default="cpctplus",
         help="error recovery strategy (default: cpctplus)",
     )

@@ -42,11 +42,11 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .cactus import Cactus
 from .lrtable import ACCEPT_CELL, StateTable
-from .parser import ParserInternalError, RecoveryParams, Repair, REDUCE_CHAIN_LIMIT
+from .parser import ParserInternalError, RecoveryParams, Repair, REDUCE_CHAIN_LIMIT, drive
 
 # Repair codes, kept as small ints in the hot path.
 SHIFT_C = 0
@@ -130,11 +130,10 @@ class _Search:
         tok_ids: list[int],
         offset: int,
         params: RecoveryParams,
-        budget_s: float,
+        budget_s: Optional[float],
         shift_style: int,
         merge: bool,
     ):
-        self.table = table
         self.act = table.act
         self.goto = table.goto
         self.arity = table.prod_arity
@@ -142,7 +141,8 @@ class _Search:
         self.eof = table.eof
         self.tok_ids = tok_ids
         self.params = params
-        self.deadline = time.monotonic() + budget_s
+        budget = params.timeout_s if budget_s is None else budget_s
+        self.deadline = time.monotonic() + budget
         self.shift_style = shift_style
         self.merge = merge
         self.insert_cost = [params.cost_of_insert(t) for t in table.tokens]
@@ -253,7 +253,12 @@ class _Search:
 
     # -- main loop ------------------------------------------------------------------
 
-    def run(self):
+    def run(self, keep: Optional[Callable[[list[_Config]], list[_Config]]] = None):
+        """Search, then expand the success configurations that ``keep``
+        selects (all by default) into their distinct non-empty sequences,
+        trailing shifts pruned, in discovery order.  Returns (cost,
+        sequences, success configs, merges), or None when the search fails.
+        """
         act = self.act
         tok_ids = self.tok_ids
         n_shifts = self.params.n_shifts
@@ -275,7 +280,14 @@ class _Search:
             cost += 1
         if not self.recorded:
             return None
-        return self.c_max, list(self.recorded.values()), self.merges
+        configs = list(self.recorded.values())
+        seqs: dict[tuple[int, ...], None] = {}
+        for cfg in configs if keep is None else keep(configs):
+            for raw in _expand(cfg.rm):
+                pruned = _prune_trailing_shifts(raw)
+                if pruned:
+                    seqs[pruned] = None
+        return self.c_max, list(seqs), len(configs), self.merges
 
     def _record_success(self, cfg: _Config) -> None:
         key = (cfg.offset, _main_chain(cfg.rm))
@@ -365,35 +377,9 @@ def _seq_order_key(seq: tuple[int, ...]):
 
 
 def _parse_distance(table: StateTable, cfg: _Config, tok_ids: list[int], n_try: int) -> int:
-    act, goto, arity, prule = table.act, table.goto, table.prod_arity, table.prod_rule
-    stack = cfg.stack.as_list()
-    off = cfg.offset
-    consumed = 0
-    guard = 0
-    while consumed < n_try:
-        cell = act[stack[-1]][tok_ids[off]]
-        low = cell & 3
-        if low == 2:
-            stack.append(cell >> 2)
-            off += 1
-            consumed += 1
-            guard = 0
-        elif low == 3:
-            p = cell >> 2
-            if arity[p]:
-                del stack[-arity[p] :]
-            g = goto[stack[-1]][prule[p]]
-            if g < 0:
-                break
-            stack.append(g)
-            guard += 1
-            if guard > REDUCE_CHAIN_LIMIT:
-                break
-        elif cell == ACCEPT_CELL:
-            return n_try
-        else:
-            break
-    return consumed
+    """Input tokens ``cfg`` can shift, up to ``n_try``; accept counts as all."""
+    off, accepted = drive(table, cfg.stack.as_list(), tok_ids, cfg.offset, cfg.offset + n_try)
+    return n_try if accepted else off - cfg.offset
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +400,18 @@ def repair_search(
 ) -> Optional[SearchOutcome]:
     """Full pipeline: search, rank, order, decode.  None means Fail."""
     params = params or RecoveryParams()
-    budget = params.timeout_s if budget_s is None else budget_s
-    found = _Search(table, stack, tok_ids, offset, params, budget, shift_style, merge).run()
-    if found is None:
-        return None
-    cost, configs, merges = found
 
-    dists = [_parse_distance(table, c, tok_ids, params.n_try) for c in configs]
-    best = min(dists) if rank_reversed else max(dists)
-    kept = [c for c, d in zip(configs, dists) if d == best]
+    def rank(configs: list[_Config]) -> list[_Config]:
+        # Keep the configurations that parse furthest ahead (or, reversed,
+        # the least far).
+        dists = [_parse_distance(table, c, tok_ids, params.n_try) for c in configs]
+        best = min(dists) if rank_reversed else max(dists)
+        return [c for c, d in zip(configs, dists) if d == best]
 
-    seqs: dict[tuple[int, ...], None] = {}
-    for cfg in kept:
-        for raw in _expand(cfg.rm):
-            pruned = _prune_trailing_shifts(raw)
-            if pruned and pruned not in seqs:
-                seqs[pruned] = None
-    if not seqs:
+    found = _Search(table, stack, tok_ids, offset, params, budget_s, shift_style, merge).run(rank)
+    if found is None or not found[1]:
         return None
+    cost, ordered, n_configs, merges = found
 
     avoid = {
         INSERT_BASE + table.token_index[t]
@@ -442,13 +422,12 @@ def repair_search(
     def has_avoided(seq: tuple[int, ...]) -> bool:
         return any(c in avoid for c in seq)
 
-    ordered = list(seqs)
     if params.deterministic:
         ordered.sort(key=lambda s: (has_avoided(s), _seq_order_key(s)))
     else:
         ordered.sort(key=has_avoided)  # stable: only the avoid split moves
     sequences = [list(_decode(table, s)) for s in ordered]
-    return SearchOutcome(cost, sequences, sequences[0], len(configs), merges)
+    return SearchOutcome(cost, sequences, sequences[0], n_configs, merges)
 
 
 def min_repair_sequences(
@@ -464,18 +443,11 @@ def min_repair_sequences(
 ) -> Optional[RawSearch]:
     """The complete pre-ranking set of minimum-cost repair sequences."""
     params = params or RecoveryParams()
-    budget = params.timeout_s if budget_s is None else budget_s
-    found = _Search(table, stack, tok_ids, offset, params, budget, shift_style, merge).run()
+    found = _Search(table, stack, tok_ids, offset, params, budget_s, shift_style, merge).run()
     if found is None:
         return None
-    cost, configs, merges = found
-    seqs: set[tuple[Repair, ...]] = set()
-    for cfg in configs:
-        for raw in _expand(cfg.rm):
-            pruned = _prune_trailing_shifts(raw)
-            if pruned:
-                seqs.add(_decode(table, pruned))
-    return RawSearch(cost, seqs, len(configs), merges)
+    cost, seqs, n_configs, merges = found
+    return RawSearch(cost, {_decode(table, s) for s in seqs}, n_configs, merges)
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,9 @@ class StateGraph:
                 kind, ordinal = 1, tok_ord[sym]
             return (-len(closures[target]), kind, ordinal)
 
+        # Number states in BFS order from the start state.  Merging can
+        # strand a state every edge to which was later redirected; such
+        # unreachable states get no number and are dropped here.
         order: dict[int, int] = {0: 0}
         bfs = deque([0])
         while bfs:
@@ -274,10 +277,6 @@ class StateGraph:
                 if target not in order:
                     order[target] = len(order)
                     bfs.append(target)
-        if len(order) != len(states):
-            # Merging can strand a state every edge to which was later
-            # redirected; drop unreachable states from the numbering.
-            pass
 
         n = len(order)
         self.states = [dict()] * n

@@ -1,6 +1,10 @@
 """Driving the tables: LR parsing with pluggable error recovery.
 
-The main loop is a textbook LR driver over the packed action/goto arrays.
+One kernel, ``drive``, runs a list stack over the packed action/goto
+arrays: it reduces and shifts over a run of token ids until accept, an
+error cell or a stop position, and builds tree nodes only when given a
+forest.  ``parse`` calls it once per error-free stretch and once to replay
+each applied repair; the repair search calls it to rank candidates.
 What happens at an error cell is delegated to a *recoverer*:
 
 * ``"none"``  — report the error and stop;
@@ -8,6 +12,8 @@ What happens at an error cell is delegated to a *recoverer*:
 * ``"cpctplus"`` / ``"cpctplus-rev"`` — search for the complete set of
   minimum-cost repair sequences, report them all, and apply the
   best-ranked one so the parse can continue.
+
+Any other name raises ``ValueError`` before a token is read.
 
 All recoverers share one wall-clock budget per file: the time spent inside
 recovery (not ordinary parsing) is accumulated, and once it exceeds
@@ -20,13 +26,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from .grammar import EOF
 from .lexer import LineIndex, Token
 from .lrtable import ACCEPT_CELL, ERROR_CELL, StateTable
 
 # A reduce chain that runs this long without shifting can only be a bug in
 # table construction (e.g. an epsilon cycle); stop instead of spinning.
 REDUCE_CHAIN_LIMIT = 100_000
+
+RECOVERERS = ("cpctplus", "cpctplus-rev", "panic", "none")
 
 
 class ParserInternalError(Exception):
@@ -160,7 +167,64 @@ def tree_text(root: Union[Node, Token], src: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Single-step interface (used by tests and the repair oracle).
+# The driver kernel.
+
+
+def drive(
+    table: StateTable,
+    stack: list[int],
+    ids: list[int],
+    idx: int,
+    stop: int,
+    forest: Optional[list] = None,
+    leaves: Optional[list] = None,
+) -> tuple[int, bool]:
+    """Run ``stack`` (mutating it) over the token ids ``ids[idx:stop]``.
+
+    Reduces and shifts until the next token meets an accept or error cell,
+    or until ``stop`` is reached.  Returns the position reached and
+    whether it accepted.  Given a ``forest``, each shift pushes
+    ``leaves[i]`` for ``ids[i]`` and each reduce folds its handle into a
+    ``Node``; without one, only the stack moves.
+    """
+    act, goto, arity, prule = table.act, table.goto, table.prod_arity, table.prod_rule
+    productions = table.productions
+    chain = 0
+    while idx < stop:
+        cell = act[stack[-1]][ids[idx]]
+        low = cell & 3
+        if low == 2:  # shift
+            stack.append(cell >> 2)
+            if forest is not None:
+                forest.append(leaves[idx])
+            idx += 1
+            chain = 0
+        elif low == 3:  # reduce
+            p = cell >> 2
+            n = arity[p]
+            if forest is not None:
+                cut = len(forest) - n
+                children = forest[cut:]
+                del forest[cut:]
+                forest.append(Node(productions[p].lhs, children))
+            if n:
+                del stack[-n:]
+            g = goto[stack[-1]][prule[p]]
+            if g < 0:
+                raise ParserInternalError(
+                    f"no goto from state {stack[-1]} on {productions[p].lhs}"
+                )
+            stack.append(g)
+            chain += 1
+            if chain > REDUCE_CHAIN_LIMIT:
+                raise ParserInternalError("reduce chain did not terminate")
+        else:
+            return idx, cell == ACCEPT_CELL
+    return idx, False
+
+
+# ---------------------------------------------------------------------------
+# Single-step interface.
 
 
 def lr_step(table: StateTable, stack: list[int], token: str):
@@ -223,23 +287,6 @@ class ParseResult:
         return self.stats.success
 
 
-def _reduce(table: StateTable, stack: list[int], forest: list, prod: int) -> None:
-    arity = table.prod_arity[prod]
-    if arity:
-        children = forest[-arity:]
-        del forest[-arity:]
-        del stack[-arity:]
-    else:
-        children = []
-    forest.append(Node(table.productions[prod].lhs, children))
-    goto = table.goto[stack[-1]][table.prod_rule[prod]]
-    if goto < 0:
-        raise ParserInternalError(
-            f"no goto from state {stack[-1]} on {table.productions[prod].lhs}"
-        )
-    stack.append(goto)
-
-
 def parse(
     table: StateTable,
     toks: list[Token],
@@ -247,9 +294,10 @@ def parse(
     recoverer: str = "cpctplus",
     params: Optional[RecoveryParams] = None,
 ) -> ParseResult:
+    if recoverer not in RECOVERERS:
+        raise ValueError(f"unknown recoverer {recoverer!r}")
     if params is None:
         params = RecoveryParams()
-    act = table.act
     tok_ids = [table.token_index[t.type] for t in toks]
     lines = LineIndex(src)
 
@@ -258,7 +306,6 @@ def parse(
     idx = 0
     reports: list[RecoveryReport] = []
     stats = RunStats(real_tokens=len(toks) - 1)
-    reduce_guard = 0
 
     def fail(report: RecoveryReport) -> ParseResult:
         reports.append(report)
@@ -266,110 +313,61 @@ def parse(
         return ParseResult(None, reports, stats)
 
     while True:
-        cell = act[stack[-1]][tok_ids[idx]]
-        low = cell & 3
-        if low == 2:  # shift
-            stack.append(cell >> 2)
-            forest.append(toks[idx])
-            idx += 1
-            reduce_guard = 0
-        elif low == 3:  # reduce
-            _reduce(table, stack, forest, cell >> 2)
-            reduce_guard += 1
-            if reduce_guard > REDUCE_CHAIN_LIMIT:
-                raise ParserInternalError("reduce chain did not terminate")
-        elif cell == ACCEPT_CELL:
+        idx, accepted = drive(table, stack, tok_ids, idx, len(tok_ids), forest, toks)
+        if accepted:
             tree = forest[-1] if forest else None
             return ParseResult(tree, reports, stats)
-        else:  # error
-            stats.error_locations += 1
-            line, col = lines.line_col(toks[idx].start)
-            budget = params.timeout_s - stats.recovery_time_s
-            report = RecoveryReport(toks[idx].start, line, col, recoverer, False)
-            if recoverer == "none" or budget <= 0:
+        stats.error_locations += 1
+        line, col = lines.line_col(toks[idx].start)
+        budget = params.timeout_s - stats.recovery_time_s
+        report = RecoveryReport(toks[idx].start, line, col, recoverer, False)
+        if recoverer == "none" or budget <= 0:
+            return fail(report)
+        t0 = time.monotonic()
+        if recoverer == "panic":
+            outcome = panic_recover(table, stack, tok_ids, idx)
+            stats.recovery_time_s += time.monotonic() - t0
+            if outcome is None:
                 return fail(report)
-            t0 = time.monotonic()
-            if recoverer == "panic":
-                outcome = panic_recover(table, stack, tok_ids, idx)
-                stats.recovery_time_s += time.monotonic() - t0
-                if outcome is None:
-                    return fail(report)
-                new_stack, new_idx = outcome
-                report.success = True
-                report.skipped = new_idx - idx
-                report.popped = len(stack) - len(new_stack)
-                stats.skipped += report.skipped
-                del forest[max(len(new_stack) - 1, 0) :]
-                stack = new_stack
-                idx = new_idx
-                reports.append(report)
-                reduce_guard = 0
-                continue
-            if recoverer in ("cpctplus", "cpctplus-rev"):
-                from . import cpctplus  # late import: cpctplus imports Repair from here
-
-                found = cpctplus.repair_search(
-                    table, stack, tok_ids, idx, params,
-                    rank_reversed=(recoverer == "cpctplus-rev"),
-                    budget_s=budget,
-                )
-                stats.recovery_time_s += time.monotonic() - t0
-                if found is None:
-                    return fail(report)
-                report.success = True
-                report.sequences = found.sequences
-                report.applied = found.applied
-                report.cost = found.cost
-                stats.costs.append(found.cost)
-                reports.append(report)
-                idx = _apply_repairs(
-                    table, stack, forest, toks, tok_ids, idx, found.applied, stats
-                )
-                reduce_guard = 0
-                continue
-            raise ValueError(f"unknown recoverer {recoverer!r}")
-
-
-def _apply_repairs(
-    table: StateTable,
-    stack: list[int],
-    forest: list,
-    toks: list[Token],
-    tok_ids: list[int],
-    idx: int,
-    applied: list[Repair],
-    stats: RunStats,
-) -> int:
-    """Replay the chosen repair sequence on the live stack, then hand the
-    parse loop back its new input position."""
-    act = table.act
-    err_off = toks[idx].start
-    for r in applied:
-        if r.kind == "delete":
-            stats.skipped += 1
-            idx += 1
+            new_stack, new_idx = outcome
+            report.success = True
+            report.skipped = new_idx - idx
+            report.popped = len(stack) - len(new_stack)
+            stats.skipped += report.skipped
+            del forest[max(len(new_stack) - 1, 0) :]
+            stack = new_stack
+            idx = new_idx
+            reports.append(report)
             continue
-        if r.kind == "insert":
-            t_id = table.token_index[r.token]
-            leaf = Token(r.token, err_off, err_off, inserted=True)
-        else:  # shift: consume the real token
-            t_id = tok_ids[idx]
-            leaf = toks[idx]
-            idx += 1
-        guard = 0
-        while True:
-            cell = act[stack[-1]][t_id]
-            if cell & 3 == 3:
-                _reduce(table, stack, forest, cell >> 2)
-                guard += 1
-                if guard > REDUCE_CHAIN_LIMIT:
-                    raise ParserInternalError("reduce chain did not terminate")
+        from . import cpctplus  # late import: cpctplus imports Repair from here
+
+        found = cpctplus.repair_search(
+            table, stack, tok_ids, idx, params,
+            rank_reversed=(recoverer == "cpctplus-rev"),
+            budget_s=budget,
+        )
+        stats.recovery_time_s += time.monotonic() - t0
+        if found is None:
+            return fail(report)
+        report.success = True
+        report.sequences = found.sequences
+        report.applied = found.applied
+        report.cost = found.cost
+        stats.costs.append(found.cost)
+        reports.append(report)
+        # Replay the applied sequence as one run: inserted and shifted
+        # tokens go through the driver, deleted ones are stepped over.
+        err_off = toks[idx].start
+        leaves: list[Token] = []
+        for r in found.applied:
+            if r.kind == "insert":
+                leaves.append(Token(r.token, err_off, err_off, inserted=True))
                 continue
-            if cell & 3 == 2:
-                stack.append(cell >> 2)
-                forest.append(leaf)
-                break
-            raise ParserInternalError(
-                f"repair replay diverged from search at state {stack[-1]}"
-            )
-    return idx
+            if r.kind == "shift":
+                leaves.append(toks[idx])
+            else:
+                stats.skipped += 1
+            idx += 1
+        run = [table.token_index[t.type] for t in leaves]
+        if drive(table, stack, run, 0, len(run), forest, leaves)[0] != len(run):
+            raise ParserInternalError(f"repair replay diverged from search at state {stack[-1]}")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from lrfix import (
     RecoveryParams,
     Repair,
+    lr_step,
     min_repair_sequences,
     oracle_min_repairs,
     parse,
@@ -145,6 +146,36 @@ def test_oracle_matches_on_known_cases():
         assert raw.sequences == seqs
 
 
+def replays(t, stack, ids, idx, seq, n_shifts):
+    """Apply ``seq`` with ``lr_step`` on a copy of ``stack``; does every
+    edit shift, and do ``n_shifts`` real tokens then shift (or accept)?"""
+    stack = list(stack)
+
+    def feed(tok):
+        while True:
+            kind = lr_step(t, stack, tok)[0]
+            if kind != "reduce":
+                return kind
+
+    for r in seq:
+        if r.kind == "delete":
+            idx += 1
+            continue
+        tok = r.token if r.kind == "insert" else t.tokens[ids[idx]]
+        if r.kind == "shift":
+            idx += 1
+        if feed(tok) != "shift":
+            return False
+    for _ in range(n_shifts):
+        kind = feed(t.tokens[ids[idx]])
+        if kind == "accept":
+            return True
+        if kind != "shift":
+            return False
+        idx += 1
+    return True
+
+
 calc_names = st.lists(st.sampled_from(["INT", "+", "*", "(", ")"]), min_size=1, max_size=4)
 
 
@@ -162,6 +193,10 @@ def test_oracle_agreement_random_short_strings(names):
     cost, seqs = oracle_min_repairs(t, list(stack), ids, idx)
     assert raw.cost == cost
     assert raw.sequences == seqs
+    out = repair_search(t, stack, ids, idx)
+    n_shifts = RecoveryParams().n_shifts
+    for seq in out.sequences:
+        assert replays(t, stack, ids, idx, seq, n_shifts), seq
 
 
 @settings(max_examples=60, deadline=None)

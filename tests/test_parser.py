@@ -161,8 +161,14 @@ def test_recovery_params_validation():
 
 
 def test_unknown_recoverer_rejected():
-    with pytest.raises(ValueError):
-        run("calc", "2 3 +", recoverer="hope")
+    # Rejected before parsing: on clean input, and with no budget left.
+    for text, params in (
+        ("2 3 +", None),
+        ("1 + 2", None),
+        ("2 3 +", RecoveryParams(timeout_s=0.0)),
+    ):
+        with pytest.raises(ValueError):
+            run("calc", text, recoverer="hope", params=params)
 
 
 def test_node_repr_is_compact():
