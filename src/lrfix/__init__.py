@@ -9,10 +9,11 @@ reports every error in the file.
 
 from .grammar import EOF, Grammar, GrammarError, Production, parse_grammar, pretty
 from .lexer import LexError, LexSpec, LexSpecError, LineIndex, Token
-from .lrtable import StateGraph, StateTable, build_stategraph, build_statetable, build_tables
+from .lrtable import StateGraph, StateTable, build_tables
 from .parser import (
     Node,
     ParseResult,
+    ParserInternalError,
     RecoveryParams,
     RecoveryReport,
     Repair,
@@ -49,11 +50,10 @@ __all__ = [
     "Token",
     "StateGraph",
     "StateTable",
-    "build_stategraph",
-    "build_statetable",
     "build_tables",
     "Node",
     "ParseResult",
+    "ParserInternalError",
     "RecoveryParams",
     "RecoveryReport",
     "Repair",

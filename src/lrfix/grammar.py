@@ -53,12 +53,13 @@ class Grammar:
     literals: set[str]                     # subset of tokens declared by quoting
     assoc: dict[str, tuple[str, int]]      # token -> (assoc kind, binding level)
     avoid_insert: set[str] = field(default_factory=set)
+    # Derived from token_decl_order once, so that is_token is one lookup.
+    tokens: frozenset[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.tokens = frozenset(self.token_decl_order)
 
     # -- convenience -------------------------------------------------------
-
-    @property
-    def tokens(self) -> set[str]:
-        return set(self.token_decl_order)
 
     def is_token(self, name: str) -> bool:
         return name in self.tokens

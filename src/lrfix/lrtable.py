@@ -1,11 +1,22 @@
 """LR(1) state graphs and action/goto tables.
 
-States are built from full LR(1) items (production, dot position, and a
-lookahead set per core item).  By default, states whose cores coincide are
-merged whenever Pager's weak-compatibility condition says the merge cannot
-manufacture a conflict that neither source state had; passing
-``merge=False`` keeps every canonical LR(1) state distinct.  Both modes
-accept exactly the same inputs — merging only shrinks the automaton.
+States are built in one worklist pass from full LR(1) items (production,
+dot position, and a lookahead set per kernel item).  Every successor
+kernel is looked up in one dict: by its core (the items without their
+lookaheads) by default, by the whole kernel with its lookaheads when
+``merge=False``.  It joins the first candidate that passes Pager's
+weak-compatibility test, i.e. a state whose cores coincide and whose merge
+cannot manufacture a conflict that neither side had.  Without merging the
+only candidate is an identical kernel, so every canonical LR(1) state stays
+distinct.  A state whose lookaheads grow is visited again, so the closure
+kept from its last visit is the closure of its final kernel.
+
+For a grammar whose canonical table has no conflicts, not even ones that
+binding levels settle, both modes accept exactly the same inputs and
+merging only shrinks the automaton.  Otherwise they can differ, because
+conflicts are resolved on merged lookaheads: with ``%left 'a'`` and
+``A: 'a' A 'a' | 'a' 'a';`` the merged table rejects ``a a a a``, which
+the canonical one accepts.
 
 After construction the states are renumbered breadth-first from the start
 state.  Each state's outgoing edges are visited largest-target-first
@@ -73,22 +84,11 @@ class Conflict:
         )
 
 
-class _State:
-    """A state under construction: kernel items with mutable lookaheads."""
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel: dict[tuple[int, int], set[str]]):
-        self.kernel = kernel
-
-    def core(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.kernel)
-
-    def frozen(self):
-        return frozenset((item, frozenset(las)) for item, las in self.kernel.items())
+# (production, dot) -> lookaheads: a kernel or a closure under construction.
+_Items = dict[tuple[int, int], set[str]]
 
 
-def _weakly_compatible(existing: _State, incoming: dict[tuple[int, int], set[str]]) -> bool:
+def _weakly_compatible(existing: _Items, incoming: _Items) -> bool:
     """Pager's test, assuming equal cores.
 
     Merging is safe when, for every pair of kernel items, either the cross
@@ -102,7 +102,7 @@ def _weakly_compatible(existing: _State, incoming: dict[tuple[int, int], set[str
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
             c_a, c_b = incoming[items[a]], incoming[items[b]]
-            d_a, d_b = existing.kernel[items[a]], existing.kernel[items[b]]
+            d_a, d_b = existing[items[a]], existing[items[b]]
             if (c_a & d_b) or (c_b & d_a):
                 if not (c_a & c_b) and not (d_a & d_b):
                     return False
@@ -165,9 +165,9 @@ class StateGraph:
 
     # -- state construction ---------------------------------------------------
 
-    def _closure(self, kernel: dict[tuple[int, int], set[str]]):
+    def _closure(self, kernel: _Items) -> _Items:
         g = self.grammar
-        items: dict[tuple[int, int], set[str]] = {k: set(v) for k, v in kernel.items()}
+        items: _Items = {k: set(v) for k, v in kernel.items()}
         work = deque(items)
         while work:
             prod_i, dot = work.popleft()
@@ -192,68 +192,62 @@ class StateGraph:
     def _build(self) -> None:
         self._first, self._nullable = self._compute_first()
 
-        states: list[_State] = [_State({(self.aug_index, 0): {EOF}})]
-        by_core: dict[frozenset, list[int]] = {states[0].core(): [0]}
-        exact: dict[frozenset, int] = {states[0].frozen(): 0}
+        def key_of(kernel: _Items) -> frozenset:
+            if self.merged:
+                return frozenset(kernel)
+            return frozenset((item, frozenset(las)) for item, las in kernel.items())
+
+        start = {(self.aug_index, 0): {EOF}}
+        kernels: list[_Items] = [start]
+        closures: list[_Items] = [{}]
         edges: list[dict[str, int]] = [{}]
+        lookup: dict[frozenset, list[int]] = {key_of(start): [0]}
         work = deque([0])
         queued = {0}
-
-        def enqueue(i: int) -> None:
-            if i not in queued:
-                queued.add(i)
-                work.append(i)
 
         while work:
             i = work.popleft()
             queued.discard(i)
-            closure = self._closure(states[i].kernel)
+            # A state is re-queued whenever its lookaheads grow, so the
+            # closure from its last visit is the closure of its final kernel.
+            closures[i] = closure = self._closure(kernels[i])
             # Group closure items by the symbol after the dot.
-            moves: dict[str, dict[tuple[int, int], set[str]]] = {}
+            moves: dict[str, _Items] = {}
             for (prod_i, dot), las in closure.items():
                 rhs = self.productions[prod_i].rhs
                 if dot < len(rhs):
                     moves.setdefault(rhs[dot], {}).setdefault((prod_i, dot + 1), set()).update(las)
-            new_edges: dict[str, int] = {}
+            edges[i] = {}
             for sym, kernel in moves.items():
-                target = self._find_or_add(kernel, states, by_core, exact, edges, enqueue)
-                new_edges[sym] = target
-            edges[i] = new_edges
+                candidates = lookup.setdefault(key_of(kernel), [])
+                for j in candidates:
+                    if _weakly_compatible(kernels[j], kernel):
+                        grew = False
+                        for item, las in kernel.items():
+                            if not las <= kernels[j][item]:
+                                kernels[j][item] |= las
+                                grew = True
+                        break
+                else:
+                    j = len(kernels)
+                    candidates.append(j)
+                    kernels.append(kernel)
+                    closures.append({})
+                    edges.append({})
+                    grew = True
+                if grew and j not in queued:
+                    queued.add(j)
+                    work.append(j)
+                edges[i][sym] = j
 
-        self._finalize(states, edges)
-
-    def _find_or_add(self, kernel, states, by_core, exact, edges, enqueue) -> int:
-        if self.merged:
-            core = frozenset(kernel)
-            for j in by_core.get(core, ()):
-                if _weakly_compatible(states[j], kernel):
-                    grew = False
-                    for item, las in kernel.items():
-                        if not las <= states[j].kernel[item]:
-                            states[j].kernel[item] |= las
-                            grew = True
-                    if grew:
-                        enqueue(j)
-                    return j
-        else:
-            key = frozenset((item, frozenset(las)) for item, las in kernel.items())
-            j = exact.get(key)
-            if j is not None:
-                return j
-        j = len(states)
-        states.append(_State({k: set(v) for k, v in kernel.items()}))
-        by_core.setdefault(frozenset(kernel), []).append(j)
-        if not self.merged:
-            exact[states[j].frozen()] = j
-        edges.append({})
-        enqueue(j)
-        return j
+        self._finalize(kernels, closures, edges)
 
     # -- renumbering ----------------------------------------------------------
 
-    def _finalize(self, states: list[_State], edges: list[dict[str, int]]) -> None:
+    def _finalize(
+        self, kernels: list[_Items], closures: list[_Items], edges: list[dict[str, int]]
+    ) -> None:
         g = self.grammar
-        closures = [self._closure(s.kernel) for s in states]
         rule_ord = {r: i for i, r in enumerate(g.rules)}
         tok_ord = {t: i for i, t in enumerate(g.token_decl_order)}
         tok_ord[EOF] = len(g.token_decl_order)
@@ -278,18 +272,14 @@ class StateGraph:
                     order[target] = len(order)
                     bfs.append(target)
 
-        n = len(order)
-        self.states = [dict()] * n
-        self.edges = [dict()] * n
-        self._closures = [dict()] * n
-        for old, new in order.items():
-            self.states[new] = {
-                item: frozenset(las) for item, las in states[old].kernel.items()
-            }
-            self.edges[new] = {sym: order[t] for sym, t in edges[old].items()}
-            self._closures[new] = {
-                item: frozenset(las) for item, las in closures[old].items()
-            }
+        # ``order`` was filled in new-number order.
+        self.states = [
+            {item: frozenset(las) for item, las in kernels[old].items()} for old in order
+        ]
+        self.edges = [{sym: order[t] for sym, t in edges[old].items()} for old in order]
+        self._closures = [
+            {item: frozenset(las) for item, las in closures[old].items()} for old in order
+        ]
 
     # -- inspection -----------------------------------------------------------
 
@@ -445,14 +435,6 @@ class StateTable:
         sr = sum(1 for c in self.conflicts if c.kind == "shift/reduce")
         rr = len(self.conflicts) - sr
         return f"{sr} shift/reduce, {rr} reduce/reduce"
-
-
-def build_stategraph(grammar: Grammar, merge: bool = True) -> StateGraph:
-    return StateGraph(grammar, merged=merge)
-
-
-def build_statetable(graph: StateGraph) -> StateTable:
-    return StateTable(graph)
 
 
 def build_tables(grammar: Grammar, merge: bool = True) -> StateTable:

@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-from lrfix import LexSpec, build_tables, parse_grammar
+from lrfix import LexSpec, build_tables, lr_step, parse_grammar
 from lrfix.lexer import Token
 from lrfix.lrtable import StateTable
 
@@ -39,8 +39,6 @@ def synth_toks(table: StateTable, names: list[str]) -> list[Token]:
 
 def first_error(table: StateTable, tok_ids: list[int]):
     """Drive the raw tables to the first error; (stack, offset) or None."""
-    from lrfix.parser import lr_step
-
     stack = [0]
     idx = 0
     while True:
@@ -52,6 +50,42 @@ def first_error(table: StateTable, tok_ids: list[int]):
             return None
         if step[0] == "shift":
             idx += 1
+
+
+def agreement_dfs(tc, tm, alphabet, max_len):
+    """Walk every viable prefix up to max_len, asserting both tables admit
+    exactly the same continuations and the same acceptance at EOF."""
+
+    def try_token(table, stack, tok):
+        st = list(stack)
+        while True:
+            r = lr_step(table, st, tok)
+            if r[0] == "error":
+                return None
+            if r[0] == "accept":
+                return "accept"
+            if r[0] == "shift":
+                return st
+
+    seen = 0
+
+    def rec(sc, sm, depth):
+        nonlocal seen
+        seen += 1
+        assert (try_token(tc, sc, "$") == "accept") == (
+            try_token(tm, sm, "$") == "accept"
+        )
+        if depth == max_len:
+            return
+        for t in alphabet:
+            nc = try_token(tc, sc, t)
+            nm = try_token(tm, sm, t)
+            assert (nc is None) == (nm is None)
+            if nc is not None:
+                rec(nc, nm, depth + 1)
+
+    rec([0], [0], 0)
+    return seen
 
 
 @pytest.fixture(scope="session")

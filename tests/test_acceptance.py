@@ -14,7 +14,6 @@ import pytest
 
 from lrfix import (
     Repair,
-    lr_step,
     min_repair_sequences,
     oracle_min_repairs,
     panic_recover,
@@ -28,6 +27,7 @@ from lrfix.parser import RecoveryParams
 from conftest import (
     INPUTS,
     FIXTURES,
+    agreement_dfs,
     first_error,
     grammar_of,
     lexspec_of,
@@ -165,42 +165,6 @@ def test_criterion_05_merging_is_neutral_and_counted():
     done(5, "merge-neutral search, 5 success configurations")
 
 
-def _agreement_dfs(tc, tm, alphabet, max_len):
-    """Walk every viable prefix up to max_len, asserting both tables admit
-    exactly the same continuations and the same acceptance at EOF."""
-
-    def try_token(table, stack, tok):
-        st = list(stack)
-        while True:
-            r = lr_step(table, st, tok)
-            if r[0] == "error":
-                return None
-            if r[0] == "accept":
-                return "accept"
-            if r[0] == "shift":
-                return st
-
-    seen = 0
-
-    def rec(sc, sm, depth):
-        nonlocal seen
-        seen += 1
-        assert (try_token(tc, sc, "$") == "accept") == (
-            try_token(tm, sm, "$") == "accept"
-        )
-        if depth == max_len:
-            return
-        for t in alphabet:
-            nc = try_token(tc, sc, t)
-            nm = try_token(tm, sm, t)
-            assert (nc is None) == (nm is None)
-            if nc is not None:
-                rec(nc, nm, depth + 1)
-
-    rec([0], [0], 0)
-    return seen
-
-
 def test_criterion_06_merged_tables_match_canonical():
     for stem, alphabet in (
         ("calc", ["+", "*", "(", ")", "INT"]),
@@ -210,7 +174,7 @@ def test_criterion_06_merged_tables_match_canonical():
         tm = table_of(stem)
         tc = table_of(stem, merge=False)
         assert tm.n_states <= tc.n_states
-        prefixes = _agreement_dfs(tc, tm, alphabet, max_len=8)
+        prefixes = agreement_dfs(tc, tm, alphabet, max_len=8)
         assert prefixes > 0
     assert table_of("calc").n_states == 12
     assert table_of("calc", merge=False).n_states == 22

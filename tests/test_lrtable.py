@@ -1,9 +1,18 @@
-import pytest
+import dataclasses
+import functools
+import hashlib
+import pathlib
 
-from lrfix import build_tables, parse_grammar
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from lrfix import build_tables, parse, parse_grammar
 from lrfix.lrtable import ACCEPT_CELL, ERROR_CELL, cell_arg, cell_kind
 
-from conftest import first_error, synth_toks, table_of
+from conftest import FIXTURES, agreement_dfs, first_error, synth_toks, table_of
+
+CLIKE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "clike.y"
 
 
 def ids(table, names):
@@ -166,3 +175,114 @@ def test_cell_encoding_round_trip():
 @pytest.mark.parametrize("stem", ["calc", "stmt", "brackets", "mini_java"])
 def test_merging_never_adds_states(stem):
     assert table_of(stem).n_states <= table_of(stem, merge=False).n_states
+
+
+# -- pinned tables -------------------------------------------------------------
+
+# sha256 of (n_states, act, goto, conflict descriptions, graph.dump()) for
+# every fixture grammar and the benchmark's C-like grammar, in both modes.
+# They were recorded before the builder became one pass, which therefore
+# changed no table.
+GOLDEN = {
+    ("bracket_heavy", True): "3125acb958af9bedffd4d356c2a6385265bd754cb6bf02862a8d67d421d06677",
+    ("bracket_heavy", False): "48c64da5b19aea92246ff16b253f04222d80f6dfc1bd5d9b7b56855d0495421d",
+    ("brackets", True): "6cc0e31812a571e7d36d5b2c3d6b502158712c507e83375e69bc6dca4e77a280",
+    ("brackets", False): "f8833de7875eda6bedb44d0621994ce19289917242b8ef7381936be4dee600af",
+    ("calc", True): "2279eb890e779c5980db4b598df9dee47c288b347e4d120ee627cc1af2866f97",
+    ("calc", False): "95373ddf4dfacf508a082bedd9bfc54acdef50e25d14d16a8a9a4f558b62e3d1",
+    ("calc_avoid", True): "2279eb890e779c5980db4b598df9dee47c288b347e4d120ee627cc1af2866f97",
+    ("calc_avoid", False): "95373ddf4dfacf508a082bedd9bfc54acdef50e25d14d16a8a9a4f558b62e3d1",
+    ("mini_java", True): "daeaf21564b550e6891752f9f3a7d5c24ef20f96bdb95cabc17dc8f3f7ea9928",
+    ("mini_java", False): "daeaf21564b550e6891752f9f3a7d5c24ef20f96bdb95cabc17dc8f3f7ea9928",
+    ("stmt", True): "9459811268daa9d746049250ea07c2611c183ae53fd00537f3cdef06cd575610",
+    ("stmt", False): "9459811268daa9d746049250ea07c2611c183ae53fd00537f3cdef06cd575610",
+    ("clike", True): "5a80138052ae054897a77ecaf19b908552f1129b2181ae7dfc093c225d70e17f",
+    ("clike", False): "00cde871e4eaed6dfaf04f334f87deddf61f367310635cbb601f9a986d2d0d23",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def pinned_table(stem, merge):
+    if stem != "clike":
+        return table_of(stem, merge)
+    return build_tables(parse_grammar(CLIKE.read_text(encoding="utf-8")), merge=merge)
+
+
+def test_golden_covers_every_fixture_grammar():
+    stems = {p.stem for p in FIXTURES.glob("*.y")} | {"clike"}
+    assert set(GOLDEN) == {(stem, merge) for stem in stems for merge in (True, False)}
+
+
+@pytest.mark.parametrize("stem,merge", sorted(GOLDEN), ids=str)
+def test_tables_match_golden_digest(stem, merge):
+    t = pinned_table(stem, merge)
+    blob = repr((t.n_states, t.act, t.goto, [c.describe() for c in t.conflicts], t.graph.dump()))
+    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[stem, merge]
+
+
+@pytest.mark.parametrize("merge,n_states", [(True, 146), (False, 378)])
+def test_clike_keeps_only_the_dangling_else_conflict(merge, n_states):
+    t = pinned_table("clike", merge)
+    assert t.n_states == n_states
+    [c] = t.conflicts
+    assert (c.kind, c.token) == ("shift/reduce", "else")
+    assert c.chosen.startswith("shift to ")
+
+
+# -- merged against canonical ------------------------------------------------------
+
+
+@st.composite
+def small_grammars(draw):
+    """Up to 3 rules over up to 3 tokens, with epsilon alternatives and
+    optional binding levels; returns the grammar and its tokens."""
+    rules = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    toks = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    levels = {t: draw(st.sampled_from([None, "%left", "%right", "%nonassoc"])) for t in toks}
+    lines = [f"%token {' '.join(toks)}"]
+    for kind in ("%left", "%right", "%nonassoc"):
+        named = [t for t in toks if levels[t] == kind]
+        if named:
+            lines.append(f"{kind} {' '.join(named)}")
+    lines.append("%%")
+    body = st.lists(st.sampled_from(rules + toks), max_size=3).map(" ".join)
+    for r in rules:
+        lines.append(f"{r}: {' | '.join(draw(st.lists(body, min_size=1, max_size=3)))};")
+    return parse_grammar("\n".join(lines)), toks
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_grammars())
+def test_merged_and_canonical_agree_on_lr1_grammars(case):
+    g, alphabet = case
+    # Binding levels only settle conflicts, so a grammar whose canonical
+    # table has none without them is LR(1) and never consults them.
+    assume(not build_tables(dataclasses.replace(g, assoc={}), merge=False).conflicts)
+    tm, tc = build_tables(g), build_tables(g, merge=False)
+    assert tm.conflicts == []
+    agreement_dfs(tc, tm, alphabet, max_len=5)
+
+
+def test_weak_compatibility_refuses_the_lalr_merge():
+    # LR(1) but not LALR(1): merging the two {E: e., F: e.} states by core
+    # alone would make reduce/reduce conflicts on 'c' and 'd'.
+    g = parse_grammar("%%\nS: 'a' E 'c' | 'a' F 'd' | 'b' F 'c' | 'b' E 'd'; E: 'e'; F: 'e';")
+    t = build_tables(g)
+    assert t.conflicts == []
+    assert t.n_states == build_tables(g, merge=False).n_states == 14
+
+
+@pytest.mark.parametrize(
+    "src,text",
+    [
+        # Recorded conflicts.
+        ("%nonassoc 'a' 'b'\n%%\nS: A | B S | 'a'; A: A S | 'b' | A 'a' 'a'; B: 'a';", "a a"),
+        # No recorded conflict: %left settles the only ones.
+        ("%left 'a'\n%%\nA: 'a' A 'a' | 'a' 'a';", "a a a a"),
+    ],
+)
+def test_merging_can_change_the_language_when_conflicts_are_resolved(src, text):
+    g = parse_grammar(src)
+    tm, tc = build_tables(g), build_tables(g, merge=False)
+    assert parse(tc, synth_toks(tc, text.split()), recoverer="none").success
+    assert not parse(tm, synth_toks(tm, text.split()), recoverer="none").success

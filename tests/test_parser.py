@@ -1,16 +1,19 @@
 import pytest
 
 from lrfix import (
+    ParserInternalError,
     RecoveryParams,
     Repair,
+    build_tables,
     lr_step,
     panic_recover,
     parse,
+    parse_grammar,
     render_repairs,
     tree_text,
 )
 from lrfix.lexer import Token
-from lrfix.parser import Node
+from lrfix.parser import RECOVERERS, Node
 
 from conftest import lexspec_of, synth_toks, table_of, toks_of
 
@@ -174,3 +177,13 @@ def test_unknown_recoverer_rejected():
 def test_node_repr_is_compact():
     n = Node("Expr", [])
     assert "Expr" in repr(n)
+
+
+@pytest.mark.parametrize("recoverer", RECOVERERS)
+def test_cyclic_grammar_raises_instead_of_hanging(recoverer):
+    # On '$' the table keeps A: %empty over B: %empty (a reduce/reduce
+    # conflict), so after each A it expects S: A S and reduces another A,
+    # forever; the reduce-chain limit turns that into an error.
+    t = build_tables(parse_grammar("%%\nS: B | A S; A: ; B: ;"))
+    with pytest.raises(ParserInternalError):
+        parse(t, synth_toks(t, []), recoverer=recoverer)
