@@ -43,7 +43,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .grammar import Grammar, parse_grammar
 from .lexer import LexError, LexSpec
 from .lrtable import StateTable, build_tables
-from .parser import RecoveryParams, parse
+from .parser import RECOVERERS, RecoveryParams, parse
 
 CSV_COLUMNS = [
     "file",
@@ -456,7 +456,7 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--recoverer",
         action="append",
-        choices=["cpctplus", "cpctplus-rev", "panic", "none"],
+        choices=RECOVERERS,
         help="strategy to benchmark (repeatable; default: cpctplus)",
     )
     ap.add_argument("--repeats", type=int, default=5)

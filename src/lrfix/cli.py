@@ -59,7 +59,8 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--deterministic",
         action="store_true",
-        help="order reported repair sequences canonically so output is reproducible",
+        help="list repair sequences in canonical order (inserts by token declaration "
+        "order, then deletes, then shifts) instead of the order the search found them",
     )
     ap.add_argument("--print-tree", action="store_true", help="print the parse tree")
     ap.add_argument(

@@ -15,10 +15,9 @@ paths reached — same parser stack, same input position, same trailing
 shift run, same just-deleted flag — are merged rather than explored
 twice: the repair sequences that led there are grafted onto the surviving
 configuration as a parent-pointer DAG, so every sequence can still be
-reported even though only one configuration is expanded.  Configuration
-hashing deliberately covers only the stack and input position (a subset
-of the compatibility relation), so dictionary probes are cheap and the
-equality test settles the rest.
+reported even though only one configuration is expanded.  That
+compatibility tuple is the bucket's dictionary key, and the value is the
+configuration's repair node; the cost is the bucket index.
 
 Once the cheapest success cost is known, the rest of that bucket is
 drained so the *complete* set of minimum-cost sequences is collected, and
@@ -71,36 +70,10 @@ class _RepairNode:
         self.merged: Optional[list] = None
 
     def add_merged(self, other: "_RepairNode") -> None:
-        if other is self:
-            return
         if self.merged is None:
             self.merged = [other]
         else:
             self.merged.append(other)
-
-
-class _Config:
-    __slots__ = ("stack", "offset", "cost", "rm", "tail", "after_delete", "_h")
-
-    def __init__(self, stack: Cactus, offset: int, cost: int, rm, tail: int, after_delete: bool):
-        self.stack = stack
-        self.offset = offset
-        self.cost = cost
-        self.rm = rm
-        self.tail = tail                # trailing shift count of the main path
-        self.after_delete = after_delete  # last repair was a delete
-        self._h = hash((stack, offset))
-
-    def __hash__(self) -> int:
-        return self._h
-
-    def __eq__(self, other: "_Config") -> bool:
-        return (
-            self.offset == other.offset
-            and self.tail == other.tail
-            and self.after_delete == other.after_delete
-            and self.stack == other.stack
-        )
 
 
 @dataclass
@@ -148,14 +121,14 @@ class _Search:
         self.insert_cost = [params.cost_of_insert(t) for t in table.tokens]
         self.n_terms = len(table.tokens) - 1  # EOF is last and never inserted
 
+        self.todo: list[dict] = []  # per cost: compatibility key -> repair node
+        self.recorded: dict = {}  # (offset, main chain) -> (stack, offset, repair node)
+        self.merges = 0
+        self.c_max: Optional[int] = None
         node = Cactus()
         for s in stack:
             node = node.push(s)
-        self.start = _Config(node, offset, 0, None, 0, False)
-        self.todo: list[dict] = [{self.start: self.start}]
-        self.recorded: dict = {}  # (offset, main chain) -> _Config
-        self.merges = 0
-        self.c_max: Optional[int] = None
+        self._add(0, None, node, offset, 0, False)
 
     # -- shared LR micro-steps ------------------------------------------------
 
@@ -180,84 +153,74 @@ class _Search:
 
     # -- frontier maintenance ---------------------------------------------------
 
-    def _insert_cfg(self, cfg: _Config) -> None:
-        if self.c_max is not None and cfg.cost > self.c_max:
+    def _add(self, cost: int, rm: Optional[_RepairNode], stack: Cactus, offset: int,
+             tail: int, after_delete: bool) -> None:
+        """Queue a configuration at ``cost``; a compatible one already queued
+        there absorbs its repair node instead.  ``tail`` is the main path's
+        trailing shift count, ``after_delete`` whether its last repair was a
+        delete.  Without merging, the repair node joins the key, so no two
+        paths are ever equal."""
+        if self.c_max is not None and cost > self.c_max:
             return
-        while len(self.todo) <= cfg.cost:
+        while len(self.todo) <= cost:
             self.todo.append({})
-        bucket = self.todo[cfg.cost]
-        if not self.merge:
-            bucket[id(cfg)] = cfg
-            return
-        old = bucket.get(cfg)
-        if old is None:
-            bucket[cfg] = cfg
-        elif old.rm is not None and cfg.rm is not None and old.rm is not cfg.rm:
-            old.rm.add_merged(cfg.rm)
+        if self.merge:
+            key = (stack, offset, tail, after_delete)
+        else:
+            key = (stack, offset, tail, after_delete, rm)
+        old = self.todo[cost].setdefault(key, rm)
+        if old is not rm and old is not None and rm is not None:
+            old.add_merged(rm)
             self.merges += 1
-
-    def _child(self, parent: _Config, code: int, extra_cost: int, stack: Cactus,
-               offset: int, tail: int, after_delete: bool) -> None:
-        rm = _RepairNode(code, parent.rm)
-        self._insert_cfg(_Config(stack, offset, parent.cost + extra_cost, rm, tail, after_delete))
 
     # -- neighbour generation -----------------------------------------------------
 
-    def _expand_config(self, cfg: _Config) -> None:
+    def _expand_config(self, cost: int, rm: Optional[_RepairNode], stack: Cactus,
+                       offset: int, tail: int, after_delete: bool) -> None:
+        add = self._add
         tok_ids = self.tok_ids
-        cur = tok_ids[cfg.offset]
+        cur = tok_ids[offset]
         # Inserts, cheapest-declared token first.  An insert directly after
         # a delete is suppressed: the same effect is always reachable as
         # insert-then-delete, so exploring both just doubles the frontier.
-        if not cfg.after_delete:
+        if not after_delete:
+            insert_cost = self.insert_cost
             for t in range(self.n_terms):
-                stack, cell, _ = self._reduce_to_action(cfg.stack, t)
+                reduced, cell, _ = self._reduce_to_action(stack, t)
                 if cell & 3 == 2:
-                    self._child(cfg, INSERT_BASE + t, self.insert_cost[t],
-                                stack.push(cell >> 2), cfg.offset, 0, False)
+                    add(cost + insert_cost[t], _RepairNode(INSERT_BASE + t, rm),
+                        reduced.push(cell >> 2), offset, 0, False)
         # Delete the next real token (never end-of-input).
         if cur != self.eof:
-            self._child(cfg, DELETE_C, 1, cfg.stack, cfg.offset + 1, 0, True)
-        # Shift moves.
+            add(cost + 1, _RepairNode(DELETE_C, rm), stack, offset + 1, 0, True)
+        # Shift moves.  Styles 2 and 3 emit the reduce-only endpoint when
+        # reductions fired.  Style 3 then shifts one token; styles 1 and 2
+        # make one greedy move that keeps shifting (with any interleaved
+        # reductions) until n_shifts tokens went by or the parse stops.
         style = self.shift_style
-        if style == 3:
-            stack, cell, n_red = self._reduce_to_action(cfg.stack, cur)
-            if n_red:
-                self._child(cfg, MARK_C, 0, stack, cfg.offset, cfg.tail, cfg.after_delete)
-            if cell & 3 == 2:
-                self._child(cfg, SHIFT_C, 0, stack.push(cell >> 2),
-                            cfg.offset + 1, cfg.tail + 1, False)
-            return
-        # Styles 1 and 2: one greedy move that keeps shifting (with any
-        # interleaved reductions) until n_shifts tokens went by or the
-        # parse stops; style 2 also emits the reduce-only endpoint.
-        stack, cell, n_red = self._reduce_to_action(cfg.stack, cur)
-        if style == 2 and n_red:
-            self._child(cfg, MARK_C, 0, stack, cfg.offset, cfg.tail, cfg.after_delete)
-        off = cfg.offset
+        stack, cell, n_red = self._reduce_to_action(stack, cur)
+        if n_red and style != 1:
+            add(cost, _RepairNode(MARK_C, rm), stack, offset, tail, after_delete)
+        limit = 1 if style == 3 else self.params.n_shifts
         shifted = 0
-        while cell & 3 == 2 and shifted < self.params.n_shifts:
+        while cell & 3 == 2:
             stack = stack.push(cell >> 2)
-            off += 1
             shifted += 1
-            if shifted == self.params.n_shifts:
+            rm = _RepairNode(SHIFT_C, rm)
+            if shifted == limit:
                 break
-            stack, cell, _ = self._reduce_to_action(stack, tok_ids[off])
+            stack, cell, _ = self._reduce_to_action(stack, tok_ids[offset + shifted])
         if shifted:
-            rm = cfg.rm
-            for _ in range(shifted):
-                rm = _RepairNode(SHIFT_C, rm)
-            self._insert_cfg(
-                _Config(stack, off, cfg.cost, rm, cfg.tail + shifted, False)
-            )
+            add(cost, rm, stack, offset + shifted, tail + shifted, False)
 
     # -- main loop ------------------------------------------------------------------
 
-    def run(self, keep: Optional[Callable[[list[_Config]], list[_Config]]] = None):
+    def run(self, keep: Optional[Callable[[list[tuple]], list[tuple]]] = None):
         """Search, then expand the success configurations that ``keep``
-        selects (all by default) into their distinct non-empty sequences,
-        trailing shifts pruned, in discovery order.  Returns (cost,
-        sequences, success configs, merges), or None when the search fails.
+        selects (all by default; each is a (stack, offset, repair node)
+        triple) into their distinct non-empty sequences, trailing shifts
+        pruned, in discovery order.  Returns (cost, sequences, success
+        configs, merges), or None when the search fails.
         """
         act = self.act
         tok_ids = self.tok_ids
@@ -269,12 +232,12 @@ class _Search:
             while bucket:
                 if monotonic() > self.deadline:
                     return None
-                cfg = bucket.popitem()[1]
-                cell = act[cfg.stack.value][tok_ids[cfg.offset]]
-                if cell == ACCEPT_CELL or cfg.tail >= n_shifts:
-                    self._record_success(cfg)
+                key, rm = bucket.popitem()
+                stack, offset, tail, after_delete = key[:4]
+                if act[stack.value][tok_ids[offset]] == ACCEPT_CELL or tail >= n_shifts:
+                    self._record_success(cost, stack, offset, rm)
                     continue  # successes are not expanded further
-                self._expand_config(cfg)
+                self._expand_config(cost, rm, stack, offset, tail, after_delete)
             if self.c_max is not None:
                 break
             cost += 1
@@ -282,23 +245,21 @@ class _Search:
             return None
         configs = list(self.recorded.values())
         seqs: dict[tuple[int, ...], None] = {}
-        for cfg in configs if keep is None else keep(configs):
-            for raw in _expand(cfg.rm):
+        for _, _, rm in configs if keep is None else keep(configs):
+            for raw in _expand(rm):
                 pruned = _prune_trailing_shifts(raw)
                 if pruned:
                     seqs[pruned] = None
         return self.c_max, list(seqs), len(configs), self.merges
 
-    def _record_success(self, cfg: _Config) -> None:
-        key = (cfg.offset, _main_chain(cfg.rm))
-        old = self.recorded.get(key)
-        if old is None:
-            self.recorded[key] = cfg
-        elif old.rm is not None and cfg.rm is not None and old.rm is not cfg.rm:
-            old.rm.add_merged(cfg.rm)
+    def _record_success(self, cost: int, stack: Cactus, offset: int,
+                        rm: Optional[_RepairNode]) -> None:
+        old = self.recorded.setdefault((offset, _main_chain(rm)), (stack, offset, rm))[2]
+        if old is not rm and old is not None and rm is not None:
+            old.add_merged(rm)
         if self.c_max is None:
-            self.c_max = cfg.cost
-            del self.todo[cfg.cost + 1 :]
+            self.c_max = cost
+            del self.todo[cost + 1 :]
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +337,12 @@ def _seq_order_key(seq: tuple[int, ...]):
 # Ranking.
 
 
-def _parse_distance(table: StateTable, cfg: _Config, tok_ids: list[int], n_try: int) -> int:
-    """Input tokens ``cfg`` can shift, up to ``n_try``; accept counts as all."""
-    off, accepted = drive(table, cfg.stack.as_list(), tok_ids, cfg.offset, cfg.offset + n_try)
-    return n_try if accepted else off - cfg.offset
+def _parse_distance(table: StateTable, stack: Cactus, offset: int, tok_ids: list[int],
+                    n_try: int) -> int:
+    """Input tokens the parser can shift from ``stack`` at ``offset``, up to
+    ``n_try``; accept counts as all."""
+    off, accepted = drive(table, stack.as_list(), tok_ids, offset, offset + n_try)
+    return n_try if accepted else off - offset
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +364,11 @@ def repair_search(
     """Full pipeline: search, rank, order, decode.  None means Fail."""
     params = params or RecoveryParams()
 
-    def rank(configs: list[_Config]) -> list[_Config]:
+    def rank(configs: list[tuple]) -> list[tuple]:
         # Keep the configurations that parse furthest ahead (or, reversed,
         # the least far).
-        dists = [_parse_distance(table, c, tok_ids, params.n_try) for c in configs]
+        dists = [_parse_distance(table, stk, off, tok_ids, params.n_try)
+                 for stk, off, _ in configs]
         best = min(dists) if rank_reversed else max(dists)
         return [c for c, d in zip(configs, dists) if d == best]
 

@@ -1,19 +1,28 @@
+import functools
+import hashlib
+import pathlib
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrfix import (
+    LexSpec,
     RecoveryParams,
     Repair,
+    build_tables,
     lr_step,
     min_repair_sequences,
     oracle_min_repairs,
     parse,
+    parse_grammar,
     repair_search,
 )
 
-from conftest import first_error, synth_toks, table_of
+from conftest import INPUTS, first_error, synth_toks, table_of, toks_of
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 I = lambda t: Repair("insert", t)
 D = Repair("delete")
@@ -219,3 +228,112 @@ def test_search_is_fast_on_small_inputs():
     for _ in range(20):
         repair_search(t, stack, ids, idx)
     assert time.monotonic() - t0 < 2.0
+
+
+# Golden search outcomes.  Each location is the first error point of a
+# broken fixture input, or of a broken program for the benchmark's C-like
+# grammar (``perfbench/clike.y``/``.l``): cost 2 with merges, cost 3 with
+# merged success configurations, shift styles that disagree, and 401
+# sequences from 224 success configurations.
+FIXTURE_INPUTS = {"calc_bad": "calc", "calc_double_plus": "calc", "mini_java_bad": "mini_java"}
+CLIKE_PROGRAMS = {
+    "clike_open_paren": "int f() { x = (1 + ; }",
+    "clike_if_assign": "int f() { if (x = ; ) }",
+    "clike_closed_paren": "int f() { x = (1 + ) * ; }",
+    "clike_three_ids": "int f() { x = y z w; }",
+}
+SEARCH_MODES = {
+    "ranked": {},
+    "deterministic": {"params": RecoveryParams(deterministic=True)},
+    "style1": {"shift_style": 1},
+    "style2": {"shift_style": 2},
+    "style3": {"shift_style": 3},
+    "unmerged": {"merge": False},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def clike():
+    grammar = parse_grammar((PERFBENCH / "clike.y").read_text(encoding="utf-8"))
+    lexspec = LexSpec.parse((PERFBENCH / "clike.l").read_text(encoding="utf-8"))
+    return build_tables(grammar), lexspec
+
+
+def golden_point(name):
+    if name in CLIKE_PROGRAMS:
+        t, lexspec = clike()
+        toks = lexspec.lex(CLIKE_PROGRAMS[name])
+    else:
+        t = table_of(FIXTURE_INPUTS[name])
+        toks = toks_of(FIXTURE_INPUTS[name], (INPUTS / f"{name}.txt").read_text(encoding="utf-8"))
+    ids = [t.token_index[x.type] for x in toks]
+    stack, idx = first_error(t, ids)
+    return t, stack, ids, idx
+
+
+def outcome_digest(name, mode):
+    """sha256 of (cost, sequences, applied, success configs, merges): in
+    reported order for ``repair_search`` (the ranked modes), sorted for
+    the set that ``min_repair_sequences`` returns (the others)."""
+    t, stack, ids, idx = golden_point(name)
+    kw = SEARCH_MODES[mode]
+    if mode in ("ranked", "deterministic"):
+        out = repair_search(t, stack, ids, idx, budget_s=60.0, **kw)
+        blob = (out.cost, out.sequences, out.applied, out.success_configs, out.merges)
+    else:
+        raw = min_repair_sequences(t, stack, ids, idx, budget_s=60.0, **kw)
+        blob = (raw.cost, sorted(raw.sequences, key=repr), None, raw.success_configs, raw.merges)
+    return hashlib.sha256(repr(blob).encode()).hexdigest()
+
+
+# Recorded before the frontier was keyed by configuration tuples.  Shift
+# style 1 finds no repair for calc_bad and searches until its budget runs
+# out, so that one pair is left out.
+GOLDEN_OUTCOMES = {
+    ("calc_bad", "ranked"): "1ec381501e1b654b3f019e3f09cd255043a3d4b751b21a9d2bbe77a3d1e06c84",
+    ("calc_bad", "deterministic"): "d351915292cb066ecbf95be70f41d1847fe956940c37a8ad9d210b5dad6d4e66",
+    ("calc_bad", "style2"): "13bbe36f251400f809c08fa28ce317df2d32189e9610364a901a30764f74244f",
+    ("calc_bad", "style3"): "660b66e1264fa66ff86b8ad87e187a4947074ea20de284e467531b86f3e1df2d",
+    ("calc_bad", "unmerged"): "0f103f33f670a40fe882e3c85056cb79412fbb912d9babc00dda9320bba7bed4",
+    ("calc_double_plus", "ranked"): "e4ff4ce5f104c67d951579ba146861a4ba411efdf241f78e2896b55893a12015",
+    ("calc_double_plus", "deterministic"): "60cac25d44e6a36043bae9e57833e6101a7ba0e86297a1fb2dcff65b6c31c444",
+    ("calc_double_plus", "style1"): "c20842360d09d8f3570456b134eb01dc6a8c04673c49c66a3535d9ab8a716bac",
+    ("calc_double_plus", "style2"): "c20842360d09d8f3570456b134eb01dc6a8c04673c49c66a3535d9ab8a716bac",
+    ("calc_double_plus", "style3"): "c20842360d09d8f3570456b134eb01dc6a8c04673c49c66a3535d9ab8a716bac",
+    ("calc_double_plus", "unmerged"): "c20842360d09d8f3570456b134eb01dc6a8c04673c49c66a3535d9ab8a716bac",
+    ("mini_java_bad", "ranked"): "02e84dabb0d9ba3c6419bbeb71843f035da4ab7e04ca0f2ea7fdc3919778349a",
+    ("mini_java_bad", "deterministic"): "ece8c55ae3c830cad0a69fe98e9db4daae666d3dced6f779a8bb50dbe81fe962",
+    ("mini_java_bad", "style1"): "d5864cb6b40b5812e935d16e1813a00ea889396bc82f477c2db09806e10b2754",
+    ("mini_java_bad", "style2"): "d5864cb6b40b5812e935d16e1813a00ea889396bc82f477c2db09806e10b2754",
+    ("mini_java_bad", "style3"): "d5864cb6b40b5812e935d16e1813a00ea889396bc82f477c2db09806e10b2754",
+    ("mini_java_bad", "unmerged"): "d5864cb6b40b5812e935d16e1813a00ea889396bc82f477c2db09806e10b2754",
+    ("clike_open_paren", "ranked"): "ffd645fa355b78f819cb76b20b1c0a4f5116f8af50e91264f7086d664546846e",
+    ("clike_open_paren", "deterministic"): "9ea1cad4f4efa207280a61ca0c209508f9e314c1522726a499128dabbbb5ab4b",
+    ("clike_open_paren", "style1"): "4903ceee5aaaa7196b9feeecd288d387f56783836e27909b4a6a005ab1154c62",
+    ("clike_open_paren", "style2"): "7f23edb868ecfe6d9cf4e5c72dd9e6df4c5d9f29ae66eacfe981610166ae42da",
+    ("clike_open_paren", "style3"): "7f23edb868ecfe6d9cf4e5c72dd9e6df4c5d9f29ae66eacfe981610166ae42da",
+    ("clike_open_paren", "unmerged"): "a0d71a96c6d4106b0e821cb62795c3ef789b6145d4ba28ceffeb16688bfc05d0",
+    ("clike_if_assign", "ranked"): "9afffad3fe53df1d4653210445d26f3b09bf68cec93fa0e1a0b6765fa37d74f4",
+    ("clike_if_assign", "deterministic"): "6e45ea5eae557a1041ff4c27d17cdb2b39b8ad65db3f8d2872f95d19b081eea4",
+    ("clike_if_assign", "style1"): "7cbf83101091952ee6e9e8336012994e833c29c6c68dcd05d6ccd909d6c52719",
+    ("clike_if_assign", "style2"): "94cd5d660587ae35e92ee86bfe712eb985d794f3ebb56ca32f41db8931971d4d",
+    ("clike_if_assign", "style3"): "94cd5d660587ae35e92ee86bfe712eb985d794f3ebb56ca32f41db8931971d4d",
+    ("clike_if_assign", "unmerged"): "493b1d6d9c7c86e6b08b4fb4c2065ed71570ffba35afd904ea201068d3967474",
+    ("clike_closed_paren", "ranked"): "578bdb1245cb32d0f9691ca6218a5d2081a74ed4d3a047501c58c8bb8f9fe1e8",
+    ("clike_closed_paren", "deterministic"): "ee79302e1415313a628cefa4d273e7fe8214ade4ffc3299146be5c1fbe60e5be",
+    ("clike_closed_paren", "style1"): "be8f404b83e541081040125a6f148d32a0b1e17d4a034f282a1afaf2a1eb9f25",
+    ("clike_closed_paren", "style2"): "073b6dfadf05454f1a876654d6d60adc5dd1e6eedff32f899d4ef58c62c9c34f",
+    ("clike_closed_paren", "style3"): "96d7f020f85794a0f1abaa7ade05649d1268bf82756ad5d94f3ad764b6ae428e",
+    ("clike_closed_paren", "unmerged"): "16e28630f90333a21cedadf2f595f47e467540e7ec68a06136d1ffb88dee2758",
+    ("clike_three_ids", "ranked"): "af4cbede36001e7dd605f7dd4ba16a09ecde260efad5350237537f0cd226d8cf",
+    ("clike_three_ids", "deterministic"): "aee24ae632193ab8e75987c486c3f5d2a16cab52785dab5b901958f505d9da86",
+    ("clike_three_ids", "style1"): "5677381dbe84ae0b812a2654a17f7c9ce553a59bce19dc46d1999b19d6e53972",
+    ("clike_three_ids", "style2"): "4b7dd72a45065a73582a6a9627a2fc23cd525c9c99f205accbd1b004772af1e8",
+    ("clike_three_ids", "style3"): "4b7dd72a45065a73582a6a9627a2fc23cd525c9c99f205accbd1b004772af1e8",
+    ("clike_three_ids", "unmerged"): "776f3890d141b58696bb4797160ab53b23bcf150474fe48e6502ab6d2cfdf406",
+}
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_OUTCOMES), ids="-".join)
+def test_search_outcomes_match_golden_digest(name, mode):
+    assert outcome_digest(name, mode) == GOLDEN_OUTCOMES[name, mode]
