@@ -21,10 +21,7 @@ flag raised when the mean tokens-skipped percentage crosses a
 configurable threshold.
 
 ``mutate_corpus`` manufactures faulty inputs from clean ones by seeded
-token-level edits, so desk-scale experiments are reproducible.  Files
-may be spread over worker processes with ``workers=N``; the default of
-1 keeps all timing on a single core, which is what you want when the
-wall-clock numbers matter.
+token-level edits, so desk-scale experiments are reproducible.
 """
 
 from __future__ import annotations
@@ -35,14 +32,13 @@ import random
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .grammar import Grammar, parse_grammar
 from .lexer import LexError, LexSpec
-from .lrtable import StateTable, build_tables
+from .lrtable import build_tables
 from .parser import RECOVERERS, RecoveryParams, parse
 
 CSV_COLUMNS = [
@@ -121,53 +117,6 @@ def _load_corpus(corpus: Corpus) -> tuple[list[tuple[str, str]], list[tuple[str,
     return list(corpus), []
 
 
-def _run_one(
-    table: StateTable,
-    lexspec: LexSpec,
-    name: str,
-    text: str,
-    recoverer: str,
-    params: RecoveryParams,
-    repeats: int,
-) -> Union[list[BenchRecord], tuple[str, str]]:
-    """All repeats for one file, or a (name, reason) skip note."""
-    try:
-        toks = lexspec.lex(text)
-    except LexError as e:
-        return (name, f"unlexable: {e}")
-    records = []
-    for r in range(repeats):
-        result = parse(table, toks, text, recoverer=recoverer, params=params)
-        st = result.stats
-        records.append(
-            BenchRecord(
-                file=name,
-                repeat=r,
-                recoverer=recoverer,
-                recovery_time_s=st.recovery_time_s,
-                success=result.success,
-                error_locations=st.error_locations,
-                costs=list(st.costs) if result.success else [],
-                tokens_skipped_pct=st.tokens_skipped_pct,
-            )
-        )
-    return records
-
-
-# Per-process state for parallel runs, installed by _pool_init.
-_POOL: dict = {}
-
-
-def _pool_init(table, lexspec, recoverer, params, repeats):
-    _POOL["args"] = (table, lexspec, recoverer, params, repeats)
-
-
-def _pool_run(item):
-    name, text = item
-    table, lexspec, recoverer, params, repeats = _POOL["args"]
-    return _run_one(table, lexspec, name, text, recoverer, params, repeats)
-
-
 def run_corpus(
     corpus: Corpus,
     grammar: Grammar,
@@ -175,47 +124,39 @@ def run_corpus(
     recoverer: str = "cpctplus",
     params: Optional[RecoveryParams] = None,
     repeats: int = 5,
-    workers: int = 1,
     skip_threshold_pct: float = DEFAULT_SKIP_THRESHOLD_PCT,
 ) -> tuple[list[BenchRecord], SummaryStats]:
     """Benchmark one recoverer over a corpus.
 
     Returns one record per (file, repeat) plus a summary.  Unlexable and
     unreadable files are skipped and listed in ``summary.skipped_files``
-    rather than counted as failures.  ``workers > 1`` fans files out to
-    worker processes; all repeats of a file stay on one worker so its
-    timings are self-consistent.  Keep ``workers=1`` (the default) when
-    absolute times matter.
+    rather than counted as failures.
     """
     params = params or RecoveryParams()
     files, skipped = _load_corpus(corpus)
     table = build_tables(grammar)
     records: list[BenchRecord] = []
-
-    if workers > 1 and params.insert_cost is not None:
-        raise ValueError(
-            "a custom insert_cost callable cannot cross process boundaries; "
-            "use workers=1"
-        )
-
-    if workers > 1 and len(files) > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(table, lexspec, recoverer, params, repeats),
-        ) as pool:
-            results = list(pool.map(_pool_run, files))
-    else:
-        results = [
-            _run_one(table, lexspec, name, text, recoverer, params, repeats)
-            for name, text in files
-        ]
-
-    for res in results:
-        if isinstance(res, tuple):
-            skipped.append(res)
-        else:
-            records.extend(res)
+    for name, text in files:
+        try:
+            toks = lexspec.lex(text)
+        except LexError as e:
+            skipped.append((name, f"unlexable: {e}"))
+            continue
+        for r in range(repeats):
+            result = parse(table, toks, text, recoverer=recoverer, params=params)
+            st = result.stats
+            records.append(
+                BenchRecord(
+                    file=name,
+                    repeat=r,
+                    recoverer=recoverer,
+                    recovery_time_s=st.recovery_time_s,
+                    success=result.success,
+                    error_locations=st.error_locations,
+                    costs=list(st.costs) if result.success else [],
+                    tokens_skipped_pct=st.tokens_skipped_pct,
+                )
+            )
 
     summary = summarize(
         records,
@@ -470,7 +411,6 @@ def main(argv=None) -> int:
         help="bootstrap iterations for 99%% intervals (0 = off)",
     )
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument(
         "--skip-threshold",
         type=float,
@@ -499,7 +439,6 @@ def main(argv=None) -> int:
             recoverer=rec,
             params=params,
             repeats=args.repeats,
-            workers=args.workers,
             skip_threshold_pct=args.skip_threshold,
         )
         wall = time.monotonic() - t0

@@ -3,11 +3,12 @@
 Starting from the parser's stack at the point of failure, the search
 explores sequences of three edits — insert a token, delete the next input
 token, or shift it unchanged — looking for every cheapest way to get the
-parse moving again.  Inserts and deletes cost 1 (insert cost is pluggable
-per token type), shifts cost 0.  A branch *succeeds* when its
-configuration either sits on an accept action or has just shifted
-``n_shifts`` input tokens in a row: genuine repairs let real input flow
-again, so demanding a run of shifts filters out edits that only thrash.
+parse moving again.  Deletes cost 1, inserts cost 1 unless a per-token
+insert cost (an int of at least 1) is given, shifts cost 0.  A branch
+*succeeds* when its configuration either sits on an accept action or has
+just shifted ``n_shifts`` input tokens in a row: genuine repairs let real
+input flow again, so demanding a run of shifts filters out edits that
+only thrash.
 
 The frontier is kept in cost-ordered buckets (a Dijkstra-style queue on a
 uniform cost grid).  Within a bucket, configurations that *compatible*
@@ -21,10 +22,14 @@ configuration's repair node; the cost is the bucket index.
 
 Once the cheapest success cost is known, the rest of that bucket is
 drained so the *complete* set of minimum-cost sequences is collected, and
-everything costlier is dropped.  Success configurations are then ranked
-by how far ahead the input each can parse (up to ``n_try`` tokens;
-reaching accept counts as the full distance): the furthest-parsing ones
-survive, the best-ordered sequence is applied, the rest are reported.
+everything costlier is dropped.  Every edit costs at least 1, so that
+bucket drains by shifts and reductions alone: no insert or delete is
+generated there.  Inserts are only tried for the terminals whose action
+on top of the stack is not an error (``StateTable.live_terms``).
+Success configurations are then ranked by how far ahead the input each
+can parse (up to ``n_try`` tokens; reaching accept counts as the full
+distance): the furthest-parsing ones survive, the best-ordered sequence
+is applied, the rest are reported.
 ``rank_reversed=True`` inverts that choice — keeping the worst - which
 exists to measure how much the ranking itself buys.
 
@@ -118,8 +123,9 @@ class _Search:
         self.deadline = time.monotonic() + budget
         self.shift_style = shift_style
         self.merge = merge
-        self.insert_cost = [params.cost_of_insert(t) for t in table.tokens]
-        self.n_terms = len(table.tokens) - 1  # EOF is last and never inserted
+        self.live_terms = table.live_terms
+        # EOF is last and never inserted.
+        self.insert_cost = [params.cost_of_insert(t) for t in table.tokens[: self.eof]]
 
         self.todo: list[dict] = []  # per cost: compatibility key -> repair node
         self.recorded: dict = {}  # (offset, main chain) -> (stack, offset, repair node)
@@ -180,19 +186,24 @@ class _Search:
         add = self._add
         tok_ids = self.tok_ids
         cur = tok_ids[offset]
-        # Inserts, cheapest-declared token first.  An insert directly after
-        # a delete is suppressed: the same effect is always reachable as
-        # insert-then-delete, so exploring both just doubles the frontier.
-        if not after_delete:
-            insert_cost = self.insert_cost
-            for t in range(self.n_terms):
-                reduced, cell, _ = self._reduce_to_action(stack, t)
-                if cell & 3 == 2:
-                    add(cost + insert_cost[t], _RepairNode(INSERT_BASE + t, rm),
-                        reduced.push(cell >> 2), offset, 0, False)
-        # Delete the next real token (never end-of-input).
-        if cur != self.eof:
-            add(cost + 1, _RepairNode(DELETE_C, rm), stack, offset + 1, 0, True)
+        # Once c_max is known it is the cost being drained, and every edit
+        # costs at least 1, so an edit child could only be dropped.
+        if self.c_max is None:
+            # Inserts, in token declaration order, of the terminals with a
+            # non-error action on top of the stack.  An insert directly
+            # after a delete is suppressed: the same effect is always
+            # reachable as insert-then-delete, so exploring both just
+            # doubles the frontier.
+            if not after_delete:
+                insert_cost = self.insert_cost
+                for t in self.live_terms[stack.value]:
+                    reduced, cell, _ = self._reduce_to_action(stack, t)
+                    if cell & 3 == 2:
+                        add(cost + insert_cost[t], _RepairNode(INSERT_BASE + t, rm),
+                            reduced.push(cell >> 2), offset, 0, False)
+            # Delete the next real token (never end-of-input).
+            if cur != self.eof:
+                add(cost + 1, _RepairNode(DELETE_C, rm), stack, offset + 1, 0, True)
         # Shift moves.  Styles 2 and 3 emit the reduce-only endpoint when
         # reductions fired.  Style 3 then shifts one token; styles 1 and 2
         # make one greedy move that keeps shifting (with any interleaved

@@ -332,6 +332,9 @@ class StateTable:
         self.conflicts: list[Conflict] = []
         self.act: list[list[int]] = []
         self.goto: list[list[int]] = []
+        # Per state, the terminals other than EOF whose action is not an
+        # error, ascending: the only ones a repair can insert there.
+        self.live_terms: list[tuple[int, ...]] = []
         self._fill()
 
     # -- construction -----------------------------------------------------------
@@ -368,6 +371,7 @@ class StateTable:
                 )
             self.act.append(row)
             self.goto.append(grow)
+            self.live_terms.append(tuple(t for t in range(self.eof) if row[t] != ERROR_CELL))
 
     def _resolve(
         self, state: int, tok_i: int, shift: int | None, reds: list[int], accept: bool

@@ -87,7 +87,7 @@ class RecoveryParams:
     n_shifts: int = 3          # trailing shifts that count as resynchronized
     n_try: int = 250           # tokens a candidate repair is test-parsed over
     timeout_s: float = 0.5     # total recovery budget per file
-    insert_cost: Optional[Callable[[str], int]] = None  # per-token insert cost
+    insert_cost: Optional[Callable[[str], int]] = None  # per-token insert cost, an int >= 1
     deterministic: bool = False  # canonical, not discovery, order of reported sequences
 
     def __post_init__(self) -> None:
@@ -97,7 +97,18 @@ class RecoveryParams:
             raise ValueError("n_try must be at least n_shifts")
 
     def cost_of_insert(self, token: str) -> int:
-        return 1 if self.insert_cost is None else self.insert_cost(token)
+        """The cost of inserting ``token``: 1 unless ``insert_cost`` is set.
+
+        Raises ValueError, naming the token, when ``insert_cost`` returns
+        anything but an int of at least 1: the search's cost buckets, and
+        its rule that every edit costs at least 1, rely on it.
+        """
+        if self.insert_cost is None:
+            return 1
+        cost = self.insert_cost(token)
+        if not isinstance(cost, int) or cost < 1:
+            raise ValueError(f"insert_cost({token!r}) returned {cost!r}; it must be an int >= 1")
+        return cost
 
 
 @dataclass

@@ -114,18 +114,6 @@ def test_multi_error_costs_join_with_semicolons(tmp_path):
     assert ";" in row[6] and row[6].count(";") == 1
 
 
-def test_parallel_workers_agree_with_serial(tmp_path):
-    corpus = make_corpus(tmp_path)
-    r1, _ = run_corpus(corpus, STMT_G, STMT_L, repeats=2, workers=1)
-    r2, _ = run_corpus(corpus, STMT_G, STMT_L, repeats=2, workers=2)
-    strip = lambda rs: [
-        (r.file, r.repeat, r.recoverer, r.success, r.error_locations, r.costs,
-         r.tokens_skipped_pct)
-        for r in rs
-    ]
-    assert strip(r1) == strip(r2)
-
-
 def test_excess_skipping_flag(tmp_path):
     (tmp_path / "x.txt").write_text("x = 1 1 ;\n")   # repaired by one delete: 20%
     _, strict = run_corpus(tmp_path, STMT_G, STMT_L, repeats=1, skip_threshold_pct=5.0)

@@ -102,6 +102,16 @@ def test_weighted_inserts_change_the_minimum():
     assert raw.sequences == {(D, D), (I("*"), S, D), (I("+"), S, D)}
 
 
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0])
+def test_insert_costs_must_be_positive_ints(bad):
+    t, stack, ids, idx = err_point("calc", ["INT", "INT", "+"])
+    params = RecoveryParams(insert_cost=lambda tok: bad if tok == "INT" else 1)
+    with pytest.raises(ValueError, match=r"insert_cost\('INT'\)"):
+        min_repair_sequences(t, stack, ids, idx, params)
+    with pytest.raises(ValueError, match=r"insert_cost\('INT'\)"):
+        repair_search(t, stack, ids, idx, params)
+
+
 def test_avoided_tokens_rank_last_but_stay_reported():
     t, stack, ids, idx = err_point("calc_avoid", ["INT", "+", "+", "INT"])
     out = repair_search(t, stack, ids, idx)
@@ -242,6 +252,16 @@ CLIKE_PROGRAMS = {
     "clike_closed_paren": "int f() { x = (1 + ) * ; }",
     "clike_three_ids": "int f() { x = y z w; }",
 }
+
+# Insert costs for the weighted modes: an integer literal in calc and an
+# identifier or literal in the C-like language cost more than the rest.
+WEIGHTS = {"INT": 5, "ID": 2, "NUM": 2}
+
+
+def weighted_cost(tok):
+    return WEIGHTS.get(tok, 1)
+
+
 SEARCH_MODES = {
     "ranked": {},
     "deterministic": {"params": RecoveryParams(deterministic=True)},
@@ -249,7 +269,12 @@ SEARCH_MODES = {
     "style2": {"shift_style": 2},
     "style3": {"shift_style": 3},
     "unmerged": {"merge": False},
+    "weighted_deterministic": {
+        "params": RecoveryParams(deterministic=True, insert_cost=weighted_cost)
+    },
+    "weighted_style3": {"params": RecoveryParams(insert_cost=weighted_cost), "shift_style": 3},
 }
+RANKED_MODES = ("ranked", "deterministic", "weighted_deterministic")
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,7 +302,7 @@ def outcome_digest(name, mode):
     the set that ``min_repair_sequences`` returns (the others)."""
     t, stack, ids, idx = golden_point(name)
     kw = SEARCH_MODES[mode]
-    if mode in ("ranked", "deterministic"):
+    if mode in RANKED_MODES:
         out = repair_search(t, stack, ids, idx, budget_s=60.0, **kw)
         blob = (out.cost, out.sequences, out.applied, out.success_configs, out.merges)
     else:
@@ -331,6 +356,16 @@ GOLDEN_OUTCOMES = {
     ("clike_three_ids", "style2"): "4b7dd72a45065a73582a6a9627a2fc23cd525c9c99f205accbd1b004772af1e8",
     ("clike_three_ids", "style3"): "4b7dd72a45065a73582a6a9627a2fc23cd525c9c99f205accbd1b004772af1e8",
     ("clike_three_ids", "unmerged"): "776f3890d141b58696bb4797160ab53b23bcf150474fe48e6502ab6d2cfdf406",
+    # Non-uniform insert costs, recorded before the search stopped
+    # generating edits in the cheapest success bucket.
+    ("calc_bad", "weighted_deterministic"): "6074213366f9f06eee06d78884ccded162c34a789c30cc2ad77a2951d10b791c",
+    ("calc_bad", "weighted_style3"): "5257a17e7379a183d88c8854cddd8edabf95307bec8fc2c371324f5f926864c6",
+    ("calc_double_plus", "weighted_deterministic"): "ff12fa791eecb45b2b330d89a3e8de38ba6c8f0f56336e0f14d3fe839050074a",
+    ("calc_double_plus", "weighted_style3"): "44e838a738e469a00e594b91bb82749476c0eb45d91d58e60f91dbbacf9ff981",
+    ("clike_open_paren", "weighted_deterministic"): "7c1aa3c45c2aeaded6cc5f248cde9c2935b51c474b8a3c8ab925b8d8334168c4",
+    ("clike_open_paren", "weighted_style3"): "0a02ae9f6c08b832f2881d6c11d777fdd2e70ddc48000afaf49a707dbd9e2e54",
+    ("clike_if_assign", "weighted_deterministic"): "3ce4dfa0a63cb0abad7f3453d172989cb6c1f3d81166d0172f8cbc85be5a0481",
+    ("clike_if_assign", "weighted_style3"): "97aaa6c6441e9a2e10570e293df6c919b82eb70da4dfacbe8fbb17dddcb23e12",
 }
 
 

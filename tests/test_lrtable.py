@@ -220,6 +220,15 @@ def test_tables_match_golden_digest(stem, merge):
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[stem, merge]
 
 
+@pytest.mark.parametrize("stem,merge", sorted(GOLDEN), ids=str)
+def test_live_terms_are_the_non_error_terminals_before_eof(stem, merge):
+    t = pinned_table(stem, merge)
+    assert len(t.live_terms) == t.n_states
+    for s, row in enumerate(t.live_terms):
+        assert row == tuple(x for x in range(t.eof) if t.act[s][x] != ERROR_CELL)
+        assert t.eof not in row
+
+
 @pytest.mark.parametrize("merge,n_states", [(True, 146), (False, 378)])
 def test_clike_keeps_only_the_dangling_else_conflict(merge, n_states):
     t = pinned_table("clike", merge)
