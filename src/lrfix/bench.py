@@ -386,6 +386,13 @@ def format_summary_table(summaries: Sequence[SummaryStats]) -> str:
     return "\n".join(lines)
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="python -m lrfix.bench",
@@ -400,7 +407,7 @@ def main(argv=None) -> int:
         choices=RECOVERERS,
         help="strategy to benchmark (repeatable; default: cpctplus)",
     )
-    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--repeats", type=_positive_int, default=5)
     ap.add_argument("--timeout", type=int, default=500, metavar="MS")
     ap.add_argument("--csv", metavar="PATH", help="write per-run records here")
     ap.add_argument(
@@ -420,6 +427,9 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
+    if not Path(args.corpus).is_dir():
+        print(f"bench: corpus directory not found: {args.corpus}", file=sys.stderr)
+        return 2
     try:
         lexspec = LexSpec.parse(Path(args.lexer).read_text(encoding="utf-8"))
         grammar = parse_grammar(Path(args.grammar).read_text(encoding="utf-8"))

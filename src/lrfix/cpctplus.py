@@ -52,11 +52,11 @@ from .cactus import Cactus
 from .lrtable import ACCEPT_CELL, StateTable
 from .parser import ParserInternalError, RecoveryParams, Repair, REDUCE_CHAIN_LIMIT, drive
 
-# Repair codes, kept as small ints in the hot path.
-SHIFT_C = 0
-DELETE_C = 1
-MARK_C = 2          # internal "reductions happened here" marker; never reported
-INSERT_BASE = 3     # INSERT_BASE + token ordinal
+# Repair codes, kept as small ints in the hot path and numbered so that
+# integer order is the canonical order (inserts by token, then delete,
+# then shift): inserting token t is t itself, delete is the EOF index
+# (EOF is never inserted), shift is one past it.
+MARK_C = -1         # internal "reductions happened here" marker; never reported
 
 
 class _RepairNode:
@@ -117,6 +117,7 @@ class _Search:
         self.arity = table.prod_arity
         self.prule = table.prod_rule
         self.eof = table.eof
+        self.shift_c = table.eof + 1
         self.tok_ids = tok_ids
         self.params = params
         budget = params.timeout_s if budget_s is None else budget_s
@@ -199,11 +200,11 @@ class _Search:
                 for t in self.live_terms[stack.value]:
                     reduced, cell, _ = self._reduce_to_action(stack, t)
                     if cell & 3 == 2:
-                        add(cost + insert_cost[t], _RepairNode(INSERT_BASE + t, rm),
+                        add(cost + insert_cost[t], _RepairNode(t, rm),
                             reduced.push(cell >> 2), offset, 0, False)
             # Delete the next real token (never end-of-input).
             if cur != self.eof:
-                add(cost + 1, _RepairNode(DELETE_C, rm), stack, offset + 1, 0, True)
+                add(cost + 1, _RepairNode(self.eof, rm), stack, offset + 1, 0, True)
         # Shift moves.  Styles 2 and 3 emit the reduce-only endpoint when
         # reductions fired.  Style 3 then shifts one token; styles 1 and 2
         # make one greedy move that keeps shifting (with any interleaved
@@ -217,7 +218,7 @@ class _Search:
         while cell & 3 == 2:
             stack = stack.push(cell >> 2)
             shifted += 1
-            rm = _RepairNode(SHIFT_C, rm)
+            rm = _RepairNode(self.shift_c, rm)
             if shifted == limit:
                 break
             stack, cell, _ = self._reduce_to_action(stack, tok_ids[offset + shifted])
@@ -258,9 +259,11 @@ class _Search:
         seqs: dict[tuple[int, ...], None] = {}
         for _, _, rm in configs if keep is None else keep(configs):
             for raw in _expand(rm):
-                pruned = _prune_trailing_shifts(raw)
-                if pruned:
-                    seqs[pruned] = None
+                end = len(raw)
+                while end and raw[end - 1] == self.shift_c:
+                    end -= 1
+                if end:
+                    seqs[raw[:end]] = None
         return self.c_max, list(seqs), len(configs), self.merges
 
     def _record_success(self, cost: int, stack: Cactus, offset: int,
@@ -313,35 +316,13 @@ def _expand(rm) -> list[tuple[int, ...]]:
     return go(rm)
 
 
-def _prune_trailing_shifts(seq: tuple[int, ...]) -> tuple[int, ...]:
-    end = len(seq)
-    while end and seq[end - 1] == SHIFT_C:
-        end -= 1
-    return seq[:end]
-
-
 def _decode(table: StateTable, seq: tuple[int, ...]) -> tuple[Repair, ...]:
-    out = []
-    for c in seq:
-        if c == SHIFT_C:
-            out.append(Repair("shift"))
-        elif c == DELETE_C:
-            out.append(Repair("delete"))
-        else:
-            out.append(Repair("insert", table.tokens[c - INSERT_BASE]))
-    return tuple(out)
-
-
-def _seq_order_key(seq: tuple[int, ...]):
-    key = []
-    for c in seq:
-        if c >= INSERT_BASE:
-            key.append((0, c - INSERT_BASE))
-        elif c == DELETE_C:
-            key.append((1, 0))
-        else:
-            key.append((2, 0))
-    return key
+    return tuple(
+        Repair("insert", table.tokens[c]) if c < table.eof
+        else Repair("delete") if c == table.eof
+        else Repair("shift")
+        for c in seq
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +369,16 @@ def repair_search(
         return None
     cost, ordered, n_configs, merges = found
 
-    avoid = {
-        INSERT_BASE + table.token_index[t]
-        for t in table.grammar.avoid_insert
-        if t in table.token_index
-    }
+    # Insert codes only: a grammar built without parse_grammar's checks
+    # could name EOF, whose index is the delete code.
+    index, eof = table.token_index, table.eof
+    avoid = {index[t] for t in table.grammar.avoid_insert if index.get(t, eof) < eof}
 
     def has_avoided(seq: tuple[int, ...]) -> bool:
         return any(c in avoid for c in seq)
 
     if params.deterministic:
-        ordered.sort(key=lambda s: (has_avoided(s), _seq_order_key(s)))
+        ordered.sort(key=lambda s: (has_avoided(s), s))
     else:
         ordered.sort(key=has_avoided)  # stable: only the avoid split moves
     sequences = [list(_decode(table, s)) for s in ordered]

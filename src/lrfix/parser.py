@@ -29,8 +29,10 @@ from typing import Callable, Optional, Union
 from .lexer import LineIndex, Token
 from .lrtable import ACCEPT_CELL, ERROR_CELL, StateTable
 
-# A reduce chain that runs this long without shifting can only be a bug in
-# table construction (e.g. an epsilon cycle); stop instead of spinning.
+# A reduce chain that runs this long without shifting comes from the
+# grammar, not the input: a cyclic grammar, or a conflict resolved in favour
+# of an empty rule that the next state asks for again.  Stop instead of
+# spinning.
 REDUCE_CHAIN_LIMIT = 100_000
 
 RECOVERERS = ("cpctplus", "cpctplus-rev", "panic", "none")
@@ -318,11 +320,6 @@ def parse(
     reports: list[RecoveryReport] = []
     stats = RunStats(real_tokens=len(toks) - 1)
 
-    def fail(report: RecoveryReport) -> ParseResult:
-        reports.append(report)
-        stats.success = False
-        return ParseResult(None, reports, stats)
-
     while True:
         idx, accepted = drive(table, stack, tok_ids, idx, len(tok_ids), forest, toks)
         if accepted:
@@ -332,40 +329,37 @@ def parse(
         line, col = lines.line_col(toks[idx].start)
         budget = params.timeout_s - stats.recovery_time_s
         report = RecoveryReport(toks[idx].start, line, col, recoverer, False)
+        reports.append(report)
         if recoverer == "none" or budget <= 0:
-            return fail(report)
+            break
         t0 = time.monotonic()
         if recoverer == "panic":
-            outcome = panic_recover(table, stack, tok_ids, idx)
-            stats.recovery_time_s += time.monotonic() - t0
-            if outcome is None:
-                return fail(report)
-            new_stack, new_idx = outcome
-            report.success = True
+            found = panic_recover(table, stack, tok_ids, idx)
+        else:
+            from . import cpctplus  # late import: cpctplus imports Repair from here
+
+            found = cpctplus.repair_search(
+                table, stack, tok_ids, idx, params,
+                rank_reversed=(recoverer == "cpctplus-rev"),
+                budget_s=budget,
+            )
+        stats.recovery_time_s += time.monotonic() - t0
+        if found is None:
+            break
+        report.success = True
+        if recoverer == "panic":
+            new_stack, new_idx = found
             report.skipped = new_idx - idx
             report.popped = len(stack) - len(new_stack)
             stats.skipped += report.skipped
             del forest[max(len(new_stack) - 1, 0) :]
             stack = new_stack
             idx = new_idx
-            reports.append(report)
             continue
-        from . import cpctplus  # late import: cpctplus imports Repair from here
-
-        found = cpctplus.repair_search(
-            table, stack, tok_ids, idx, params,
-            rank_reversed=(recoverer == "cpctplus-rev"),
-            budget_s=budget,
-        )
-        stats.recovery_time_s += time.monotonic() - t0
-        if found is None:
-            return fail(report)
-        report.success = True
         report.sequences = found.sequences
         report.applied = found.applied
         report.cost = found.cost
         stats.costs.append(found.cost)
-        reports.append(report)
         # Replay the applied sequence as one run: inserted and shifted
         # tokens go through the driver, deleted ones are stepped over.
         err_off = toks[idx].start
@@ -382,3 +376,5 @@ def parse(
         run = [table.token_index[t.type] for t in leaves]
         if drive(table, stack, run, 0, len(run), forest, leaves)[0] != len(run):
             raise ParserInternalError(f"repair replay diverged from search at state {stack[-1]}")
+    stats.success = False
+    return ParseResult(None, reports, stats)

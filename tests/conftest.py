@@ -2,6 +2,7 @@ import functools
 import pathlib
 
 import pytest
+from hypothesis import strategies as st
 
 from lrfix import LexSpec, build_tables, lr_step, parse_grammar
 from lrfix.lexer import Token
@@ -86,6 +87,25 @@ def agreement_dfs(tc, tm, alphabet, max_len):
 
     rec([0], [0], 0)
     return seen
+
+
+@st.composite
+def small_grammars(draw):
+    """Up to 3 rules over up to 3 tokens, with epsilon alternatives and
+    optional binding levels; returns the grammar and its tokens."""
+    rules = ["A", "B", "C"][: draw(st.integers(1, 3))]
+    toks = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    levels = {t: draw(st.sampled_from([None, "%left", "%right", "%nonassoc"])) for t in toks}
+    lines = [f"%token {' '.join(toks)}"]
+    for kind in ("%left", "%right", "%nonassoc"):
+        named = [t for t in toks if levels[t] == kind]
+        if named:
+            lines.append(f"{kind} {' '.join(named)}")
+    lines.append("%%")
+    body = st.lists(st.sampled_from(rules + toks), max_size=3).map(" ".join)
+    for r in rules:
+        lines.append(f"{r}: {' | '.join(draw(st.lists(body, min_size=1, max_size=3)))};")
+    return parse_grammar("\n".join(lines)), toks
 
 
 @pytest.fixture(scope="session")

@@ -8,13 +8,14 @@ from lrfix.bench import (
     CSV_COLUMNS,
     bootstrap,
     format_summary_table,
+    main,
     mutate_corpus,
     run_corpus,
     summarize,
     write_csv,
 )
 
-from conftest import grammar_of, lexspec_of
+from conftest import FIXTURES, grammar_of, lexspec_of
 
 STMT_G = grammar_of("stmt")
 STMT_L = lexspec_of("stmt")
@@ -242,3 +243,41 @@ def test_summarize_handles_empty():
     assert s.runs == 0 and s.files == 0
     assert s.mean_cost is None
     assert format_summary_table([s])
+
+
+# -- command line -------------------------------------------------------------
+
+
+STMT_ARGS = [str(FIXTURES / "stmt.l"), str(FIXTURES / "stmt.y")]
+
+
+def test_main_prints_the_table_and_writes_the_csv(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("x = 1 ;\n")
+    (corpus / "b.txt").write_text("x = 1 1 ;\n")
+    out = tmp_path / "runs.csv"
+    code = main([*STMT_ARGS, str(corpus), "--repeats", "2", "--csv", str(out)])
+    assert code == 0
+    assert "cpctplus" in capsys.readouterr().out
+    with open(out, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == CSV_COLUMNS
+    assert [(r[0], r[1]) for r in rows[1:]] == [
+        ("a.txt", "0"), ("a.txt", "1"), ("b.txt", "0"), ("b.txt", "1"),
+    ]
+
+
+def test_main_rejects_a_missing_corpus_directory(tmp_path, capsys):
+    missing = tmp_path / "nope"
+    code = main([*STMT_ARGS, str(missing)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"bench: corpus directory not found: {missing}\n"
+
+
+def test_main_rejects_zero_repeats(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*STMT_ARGS, str(tmp_path), "--repeats", "0"])
+    assert exc.value.code == 2
+    assert "--repeats" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import pathlib
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from lrfix import (
     LexSpec,
+    ParserInternalError,
     RecoveryParams,
     Repair,
     build_tables,
@@ -19,8 +21,9 @@ from lrfix import (
     parse_grammar,
     repair_search,
 )
+from lrfix.parser import RECOVERERS, drive
 
-from conftest import INPUTS, first_error, synth_toks, table_of, toks_of
+from conftest import INPUTS, first_error, grammar_of, small_grammars, synth_toks, table_of, toks_of
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -133,6 +136,19 @@ def test_deterministic_order_is_total():
     ]
 
 
+def test_avoiding_eof_does_not_mark_deletes():
+    # parse_grammar refuses "%avoid_insert $"; a Grammar built directly
+    # can still name it, and EOF's index doubles as the delete code.
+    t = build_tables(dataclasses.replace(grammar_of("calc"), avoid_insert={"$"}))
+    plain = table_of("calc")
+    params = RecoveryParams(deterministic=True)
+    for names in (["INT", "INT", "+"], ["INT", "+", "+", "INT"]):
+        ids = [plain.token_index[x.type] for x in synth_toks(plain, names)]
+        stack, idx = first_error(plain, ids)
+        assert (repair_search(t, stack, ids, idx, params).sequences
+                == repair_search(plain, stack, ids, idx, params).sequences)
+
+
 def test_reversed_ranking_still_minimal_cost():
     t, stack, ids, idx = err_point("calc", ["INT", "INT", "+"])
     fwd = repair_search(t, stack, ids, idx)
@@ -213,6 +229,38 @@ def test_oracle_agreement_random_short_strings(names):
     assert raw.cost == cost
     assert raw.sequences == seqs
     out = repair_search(t, stack, ids, idx)
+    n_shifts = RecoveryParams().n_shifts
+    for seq in out.sequences:
+        assert replays(t, stack, ids, idx, seq, n_shifts), seq
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_grammars(), st.booleans(), st.data())
+def test_search_equals_oracle_on_small_grammars(case, merge, data):
+    g, alphabet = case
+    t = build_tables(g, merge=merge)
+    toks = synth_toks(t, data.draw(st.lists(st.sampled_from(alphabet), max_size=5)))
+    ids = [t.token_index[x.type] for x in toks]
+    # A short budget: a grammar with an empty language is searched until
+    # the budget runs out, and the budget does not change what may raise.
+    quick = RecoveryParams(timeout_s=0.05)
+    for recoverer in RECOVERERS:
+        try:
+            parse(t, toks, recoverer=recoverer, params=quick)
+        except ParserInternalError:
+            pass
+    # drive, unlike first_error, stops a runaway reduce chain.
+    stack = [0]
+    try:
+        idx, accepted = drive(t, stack, ids, 0, len(ids))
+        found = None if accepted else oracle_min_repairs(t, list(stack), ids, idx, cost_bound=3)
+    except ParserInternalError:
+        return
+    if found is None:
+        return  # searching to the budget here would dominate the test's time
+    raw = min_repair_sequences(t, stack, ids, idx, budget_s=5)
+    assert (raw.cost, raw.sequences) == found
+    out = repair_search(t, stack, ids, idx, budget_s=5)
     n_shifts = RecoveryParams().n_shifts
     for seq in out.sequences:
         assert replays(t, stack, ids, idx, seq, n_shifts), seq

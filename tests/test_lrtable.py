@@ -5,12 +5,11 @@ import pathlib
 
 import pytest
 from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from lrfix import build_tables, parse, parse_grammar
 from lrfix.lrtable import ACCEPT_CELL, ERROR_CELL, cell_arg, cell_kind
 
-from conftest import FIXTURES, agreement_dfs, first_error, synth_toks, table_of
+from conftest import FIXTURES, agreement_dfs, first_error, small_grammars, synth_toks, table_of
 
 CLIKE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "clike.y"
 
@@ -239,25 +238,6 @@ def test_clike_keeps_only_the_dangling_else_conflict(merge, n_states):
 
 
 # -- merged against canonical ------------------------------------------------------
-
-
-@st.composite
-def small_grammars(draw):
-    """Up to 3 rules over up to 3 tokens, with epsilon alternatives and
-    optional binding levels; returns the grammar and its tokens."""
-    rules = ["A", "B", "C"][: draw(st.integers(1, 3))]
-    toks = ["a", "b", "c"][: draw(st.integers(1, 3))]
-    levels = {t: draw(st.sampled_from([None, "%left", "%right", "%nonassoc"])) for t in toks}
-    lines = [f"%token {' '.join(toks)}"]
-    for kind in ("%left", "%right", "%nonassoc"):
-        named = [t for t in toks if levels[t] == kind]
-        if named:
-            lines.append(f"{kind} {' '.join(named)}")
-    lines.append("%%")
-    body = st.lists(st.sampled_from(rules + toks), max_size=3).map(" ".join)
-    for r in rules:
-        lines.append(f"{r}: {' | '.join(draw(st.lists(body, min_size=1, max_size=3)))};")
-    return parse_grammar("\n".join(lines)), toks
 
 
 @settings(max_examples=50, deadline=None)

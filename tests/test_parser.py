@@ -187,3 +187,14 @@ def test_cyclic_grammar_raises_instead_of_hanging(recoverer):
     t = build_tables(parse_grammar("%%\nS: B | A S; A: ; B: ;"))
     with pytest.raises(ParserInternalError):
         parse(t, synth_toks(t, []), recoverer=recoverer)
+
+
+@pytest.mark.parametrize("merge", [True, False])
+@pytest.mark.parametrize("recoverer", RECOVERERS)
+def test_conflicted_epsilon_grammar_raises_instead_of_hanging(recoverer, merge):
+    # No rule derives itself, yet on 'x' the reduce/reduce conflict keeps
+    # N: %empty over R: %empty, and R: N R x then asks for another N,
+    # forever: the reduce-chain limit is not only for cyclic grammars.
+    t = build_tables(parse_grammar("%start R\n%token x\n%%\nN: ;\nR: N R x | ;"), merge=merge)
+    with pytest.raises(ParserInternalError):
+        parse(t, synth_toks(t, ["x"]), recoverer=recoverer)
