@@ -96,6 +96,12 @@ def main(argv=None) -> int:
         return complain(
             f"{args.lexer}: no rule produces token(s) {', '.join(sorted(missing))}"
         )
+    unknown = [t for t in lexspec.token_names() if t not in grammar.tokens]
+    if unknown:
+        return complain(
+            f"{args.lexer}: rules produce token(s) {', '.join(sorted(unknown))} "
+            f"that {args.grammar} does not declare"
+        )
 
     table = build_tables(grammar)
     if table.conflicts and not args.quiet:

@@ -5,10 +5,14 @@ then either a token name (bare or quoted) or a lone ``;`` meaning "match
 and discard".  Blank lines and lines starting with ``#`` are ignored.
 
 Tokenizing scans left to right, always taking the longest match; ties go
-to the earliest rule in the file.  Any stretch of input no rule matches
-raises :class:`LexError` — the file is rejected as a whole rather than
-guessed at.  A zero-width end-of-input token is appended to every
-successful result.
+to the earliest rule in the file.  Rules whose pattern is a plain literal
+(no regex metacharacter, and no backslash before a letter, digit or
+underscore) are matched by looking the next input character up in a
+table, and only the other rules run as regular expressions; the
+longest-match and earliest-rule semantics are the same either way.  Any
+stretch of input no rule matches raises :class:`LexError` — the file is
+rejected as a whole rather than guessed at.  A zero-width end-of-input
+token is appended to every successful result.
 """
 
 from __future__ import annotations
@@ -62,11 +66,43 @@ class LineIndex:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_.][A-Za-z_0-9.]*$")
+# A plain literal: no regex metacharacter, and every backslash escapes a
+# character that is not a letter, digit or underscore.
+_LITERAL_RE = re.compile(r"(?:[^.^$*+?{}\[\]|()\\]|\\\W)+")
+
+
+def _literal_of(rx: re.Pattern) -> str | None:
+    """The string ``rx`` matches if it is a plain literal, else None.
+
+    Conservative: a pattern with a flag beyond the default, a
+    metacharacter, or an escaped letter, digit or underscore (a class,
+    an anchor or a back-reference) stays a regex.
+    """
+    if not isinstance(rx.pattern, str) or rx.flags != re.UNICODE:
+        return None
+    if not _LITERAL_RE.fullmatch(rx.pattern):
+        return None
+    return re.sub(r"\\(.)", r"\1", rx.pattern, flags=re.DOTALL)
 
 
 class LexSpec:
     def __init__(self, rules: list[tuple[re.Pattern, str | None]]):
         self.rules = rules
+        # Literal rules by first character, longest first; each entry is
+        # (literal, length, rule index, token).  A literal repeated by a
+        # later rule can never win a tie, so only its first rule is kept.
+        self._literals: dict[str, list[tuple[str, int, int, str | None]]] = {}
+        self._regexes: list[tuple[re.Pattern, int, str | None]] = []
+        seen: set[str] = set()
+        for i, (rx, name) in enumerate(rules):
+            lit = _literal_of(rx)
+            if lit is None:
+                self._regexes.append((rx, i, name))
+            elif lit not in seen:
+                seen.add(lit)
+                self._literals.setdefault(lit[0], []).append((lit, len(lit), i, name))
+        for entries in self._literals.values():
+            entries.sort(key=lambda e: -e[1])
 
     @classmethod
     def parse(cls, text: str) -> "LexSpec":
@@ -112,17 +148,26 @@ class LexSpec:
 
     def lex(self, src: str) -> list[Token]:
         toks: list[Token] = []
+        literals = self._literals
+        regexes = self._regexes
+        no_literals: list = []
         pos = 0
         n = len(src)
         while pos < n:
-            best_len = -1
+            best_len = 0
+            best_rule = len(self.rules)
             best_name: str | None = None
-            for rx, name in self.rules:
+            for lit, length, i, name in literals.get(src[pos], no_literals):
+                if src.startswith(lit, pos):
+                    best_len, best_rule, best_name = length, i, name
+                    break
+            for rx, i, name in regexes:
                 m = rx.match(src, pos)
-                if m is not None and m.end() - pos > best_len:
-                    best_len = m.end() - pos
-                    best_name = name
-            if best_len <= 0:
+                if m is not None:
+                    length = m.end() - pos
+                    if length > best_len or (length == best_len and i < best_rule):
+                        best_len, best_rule, best_name = length, i, name
+            if best_len == 0:
                 line, col = LineIndex(src).line_col(pos)
                 raise LexError(f"no rule matches {src[pos:pos+10]!r}", pos, line, col)
             if best_name is not None:

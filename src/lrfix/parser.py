@@ -13,7 +13,8 @@ What happens at an error cell is delegated to a *recoverer*:
   minimum-cost repair sequences, report them all, and apply the
   best-ranked one so the parse can continue.
 
-Any other name raises ``ValueError`` before a token is read.
+Any other name raises ``ValueError`` before a token is read, and so does
+a token whose type is not a terminal of the grammar.
 
 All recoverers share one wall-clock budget per file: the time spent inside
 recovery (not ordinary parsing) is accumulated, and once it exceeds
@@ -311,7 +312,10 @@ def parse(
         raise ValueError(f"unknown recoverer {recoverer!r}")
     if params is None:
         params = RecoveryParams()
-    tok_ids = [table.token_index[t.type] for t in toks]
+    try:
+        tok_ids = [table.token_index[t.type] for t in toks]
+    except KeyError as e:
+        raise ValueError(f"token type {e.args[0]!r} is not a terminal of the grammar") from None
     lines = LineIndex(src)
 
     stack = [0]

@@ -130,6 +130,16 @@ def test_grammar_token_without_lexer_rule_exits_two(tmp_path, capsys):
     assert "GHOST" in capsys.readouterr().err
 
 
+def test_lexer_token_the_grammar_lacks_exits_two(tmp_path, capsys):
+    lx = tmp_path / "calc_at.l"
+    lx.write_text((FIXTURES / "calc.l").read_text(encoding="utf-8") + "@ 'AT'\n")
+    src = tmp_path / "x.txt"
+    src.write_text("1 @ 2")
+    code = main([str(lx), CALC_Y, str(src)])
+    assert code == 2
+    assert "token(s) AT " in capsys.readouterr().err
+
+
 def test_timeout_flag_is_wired_through(tmp_path, capsys):
     # with effectively no budget every recovery fails
     code = main([CALC_L, CALC_Y, str(INPUTS / "calc_bad.txt"), "--timeout", "0"])

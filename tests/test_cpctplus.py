@@ -417,6 +417,8 @@ GOLDEN_OUTCOMES = {
 }
 
 
-@pytest.mark.parametrize("name,mode", sorted(GOLDEN_OUTCOMES), ids="-".join)
+@pytest.mark.parametrize(
+    "name,mode", [pytest.param(*key, id="-".join(key)) for key in sorted(GOLDEN_OUTCOMES)]
+)
 def test_search_outcomes_match_golden_digest(name, mode):
     assert outcome_digest(name, mode) == GOLDEN_OUTCOMES[name, mode]

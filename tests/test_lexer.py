@@ -1,10 +1,16 @@
+import pathlib
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lrfix import LexError, LexSpec, LexSpecError, LineIndex
+from lrfix.lexer import Token
 
 from conftest import lexspec_of
+
+PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
 def types(spec, text):
@@ -65,8 +71,6 @@ def test_bad_specs_rejected(spec_text):
 
 
 def test_inserted_token_has_no_lexeme():
-    from lrfix.lexer import Token
-
     t = Token("INT", 3, 3, inserted=True)
     assert t.lexeme("0123456") == ""
 
@@ -87,3 +91,99 @@ def test_line_index_matches_naive_count(text, data):
     line = text.count("\n", 0, offset) + 1
     col = offset - (text.rfind("\n", 0, offset) + 1) + 1
     assert li.line_col(offset) == (line, col)
+
+
+def reference_lex(rules, src):
+    """The lexer before its literal table: every rule tried at every
+    position, longest match wins, ties go to the earliest rule."""
+    toks = []
+    pos = 0
+    while pos < len(src):
+        best_len = -1
+        best_name = None
+        for rx, name in rules:
+            m = rx.match(src, pos)
+            if m is not None and m.end() - pos > best_len:
+                best_len = m.end() - pos
+                best_name = name
+        if best_len <= 0:
+            line, col = LineIndex(src).line_col(pos)
+            raise LexError(f"no rule matches {src[pos:pos+10]!r}", pos, line, col)
+        if best_name is not None:
+            toks.append(Token(best_name, pos, pos + best_len))
+        pos += best_len
+    toks.append(Token("$", len(src), len(src)))
+    return toks
+
+
+def assert_lexes_like_reference(spec, src):
+    def outcome(lex):
+        try:
+            return [(t.type, t.start, t.end) for t in lex(src)]
+        except LexError as e:
+            return ("error", e.offset, e.line, e.col, str(e))
+
+    assert outcome(spec.lex) == outcome(lambda s: reference_lex(spec.rules, s))
+
+
+# Literals that are prefixes of each other, keywords an ID regex also
+# matches, a literal listed twice, a literal skip rule and escaped
+# literals, each with some text it matches.  Drawn in any order, so the
+# ID regex sometimes precedes a keyword and takes the tie.
+RULE_POOL = [
+    (r"\+ '+'", ["+"]),
+    (r"\+= '+='", ["+="]),
+    (r"\+\+ '++'", ["++"]),
+    (r"\+ 'PLUS'", ["+"]),
+    (r"= '='", ["="]),
+    (r"== '=='", ["=="]),
+    (r"\. ;", ["."]),
+    (r"\.\. 'DOTS'", [".."]),
+    (r"\| '|'", ["|"]),
+    (r"\|\| '||'", ["||"]),
+    (r"if 'if'", ["if"]),
+    (r"in 'in'", ["in"]),
+    (r"int 'int'", ["int"]),
+    (r"i 'I'", ["i"]),
+    (r"[a-z]+ 'ID'", ["if", "int", "i", "fab"]),
+    (r"[0-9]+ 'NUM'", ["0", "19"]),
+    (r"[+=]+ 'OPS'", ["+", "=+", "++="]),
+    (r"[ \n]+ ;", [" ", "\n"]),
+]
+
+
+@given(st.lists(st.sampled_from(RULE_POOL), min_size=1, max_size=10), st.data())
+def test_literal_table_lexes_like_trying_every_rule(rules, data):
+    spec = LexSpec.parse("\n".join(line for line, _ in rules))
+    # Runs of text the drawn rules match, so that ties between
+    # equal-length matches come up often; sometimes an '@', which no
+    # rule matches, somewhere in them.
+    pieces = data.draw(st.lists(st.sampled_from([x for _, xs in rules for x in xs]), max_size=12))
+    if data.draw(st.booleans()):
+        pieces.insert(data.draw(st.integers(0, len(pieces))), "@")
+    assert_lexes_like_reference(spec, "".join(pieces))
+
+
+def test_clike_rules_split_into_literals_and_regexes():
+    # A silent fallback to trying every rule as a regex would show here.
+    spec = LexSpec.parse((PERFBENCH / "clike.l").read_text(encoding="utf-8"))
+    assert sum(map(len, spec._literals.values())) == 41
+    assert len(spec._regexes) == 6
+
+
+@pytest.mark.parametrize(
+    "rx",
+    [
+        re.compile(r"\n"),            # an escaped letter (here a newline)
+        re.compile(r"a\b"),           # an anchor
+        re.compile(r"\_"),            # escaped underscore: kept a regex, conservatively
+        re.compile("if", re.IGNORECASE),
+        re.compile(r"a{2}"),
+        re.compile(r"a]"),
+    ],
+)
+def test_patterns_that_are_not_plain_literals_stay_regexes(rx):
+    spec = LexSpec([(rx, "X"), (re.compile("[ \n]+"), None)])
+    assert spec._literals == {}
+    for src in ["\n", "a", "IF if", "aa", "a]", "_"]:
+        assert_lexes_like_reference(spec, src)

@@ -1,6 +1,7 @@
 import pytest
 
 from lrfix import (
+    LexSpec,
     ParserInternalError,
     RecoveryParams,
     Repair,
@@ -15,7 +16,7 @@ from lrfix import (
 from lrfix.lexer import Token
 from lrfix.parser import RECOVERERS, Node
 
-from conftest import lexspec_of, synth_toks, table_of, toks_of
+from conftest import FIXTURES, lexspec_of, synth_toks, table_of, toks_of
 
 
 def run(stem, text, recoverer="cpctplus", **kw):
@@ -172,6 +173,15 @@ def test_unknown_recoverer_rejected():
     ):
         with pytest.raises(ValueError):
             run("calc", text, recoverer="hope", params=params)
+
+
+def test_token_the_grammar_lacks_is_a_value_error():
+    # calc.l plus a rule '@' 'AT': the lexer emits a token calc.y never declares.
+    spec = LexSpec.parse((FIXTURES / "calc.l").read_text(encoding="utf-8") + "@ 'AT'\n")
+    src = "1 @ 2"
+    for recoverer in ("cpctplus", "none"):
+        with pytest.raises(ValueError, match="'AT'"):
+            parse(table_of("calc"), spec.lex(src), src, recoverer=recoverer)
 
 
 def test_node_repr_is_compact():
