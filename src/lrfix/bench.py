@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
+from .cli import non_negative_int, token_mismatch
 from .grammar import Grammar, parse_grammar
 from .lexer import LexError, LexSpec
 from .lrtable import build_tables
@@ -408,7 +409,7 @@ def main(argv=None) -> int:
         help="strategy to benchmark (repeatable; default: cpctplus)",
     )
     ap.add_argument("--repeats", type=_positive_int, default=5)
-    ap.add_argument("--timeout", type=int, default=500, metavar="MS")
+    ap.add_argument("--timeout", type=non_negative_int, default=500, metavar="MS")
     ap.add_argument("--csv", metavar="PATH", help="write per-run records here")
     ap.add_argument(
         "--bootstrap",
@@ -435,6 +436,10 @@ def main(argv=None) -> int:
         grammar = parse_grammar(Path(args.grammar).read_text(encoding="utf-8"))
     except Exception as e:
         print(f"bench: {e}", file=sys.stderr)
+        return 2
+    mismatch = token_mismatch(lexspec, grammar, args.lexer, args.grammar)
+    if mismatch:
+        print(f"bench: {mismatch}", file=sys.stderr)
         return 2
 
     params = RecoveryParams(timeout_s=args.timeout / 1000.0)

@@ -11,11 +11,38 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
-from .grammar import GrammarError, parse_grammar
+from .grammar import Grammar, GrammarError, parse_grammar
 from .lexer import LexError, LexSpec, LexSpecError, Token
 from .lrtable import build_tables
 from .parser import RECOVERERS, RecoveryParams, RecoveryReport, parse, render_repairs, tree_text
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type for ``--timeout``: a whole number of milliseconds."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
+    return n
+
+
+def token_mismatch(lexspec: LexSpec, grammar: Grammar, lexer_name: str,
+                   grammar_name: str) -> Optional[str]:
+    """Why the lexer and grammar cannot work together, or None: a grammar
+    token that no lexer rule produces, or a lexer token that the grammar
+    does not declare (``parse`` would raise ``ValueError`` on it)."""
+    produced = lexspec.token_names()
+    missing = [t for t in grammar.tokens if t not in produced]
+    if missing:
+        return f"{lexer_name}: no rule produces token(s) {', '.join(sorted(missing))}"
+    unknown = [t for t in produced if t not in grammar.tokens]
+    if unknown:
+        return (
+            f"{lexer_name}: rules produce token(s) {', '.join(sorted(unknown))} "
+            f"that {grammar_name} does not declare"
+        )
+    return None
 
 
 def _format_report(report: RecoveryReport, src: str, toks: list[Token]) -> str:
@@ -51,7 +78,7 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--timeout",
-        type=int,
+        type=non_negative_int,
         default=500,
         metavar="MS",
         help="total error-recovery budget per file, in milliseconds (default: 500)",
@@ -91,17 +118,9 @@ def main(argv=None) -> int:
     except GrammarError as e:
         return complain(f"{args.grammar}: {e}")
 
-    missing = [t for t in grammar.tokens if t not in lexspec.token_names()]
-    if missing:
-        return complain(
-            f"{args.lexer}: no rule produces token(s) {', '.join(sorted(missing))}"
-        )
-    unknown = [t for t in lexspec.token_names() if t not in grammar.tokens]
-    if unknown:
-        return complain(
-            f"{args.lexer}: rules produce token(s) {', '.join(sorted(unknown))} "
-            f"that {args.grammar} does not declare"
-        )
+    mismatch = token_mismatch(lexspec, grammar, args.lexer, args.grammar)
+    if mismatch:
+        return complain(mismatch)
 
     table = build_tables(grammar)
     if table.conflicts and not args.quiet:

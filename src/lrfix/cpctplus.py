@@ -20,12 +20,16 @@ reported even though only one configuration is expanded.  That
 compatibility tuple is the bucket's dictionary key, and the value is the
 configuration's repair node; the cost is the bucket index.
 
-Once the cheapest success cost is known, the rest of that bucket is
-drained so the *complete* set of minimum-cost sequences is collected, and
-everything costlier is dropped.  Every edit costs at least 1, so that
-bucket drains by shifts and reductions alone: no insert or delete is
-generated there.  Inserts are only tried for the terminals whose action
-on top of the stack is not an error (``StateTable.live_terms``).
+A popped configuration first gets only its zero-cost moves (shifts and
+reductions), which stay in its bucket.  Every edit costs at least 1 and
+lands in a costlier bucket, so a bucket's inserts and deletes are built
+only once it drains without a success, in pop order; that fills the
+costlier buckets exactly as building them at each pop would.  Once a
+bucket holds a success, the rest of it is drained so the *complete* set
+of minimum-cost sequences is collected, its edits are never built, and
+everything costlier is dropped.  Inserts are only tried for the
+terminals whose action on top of the stack is not an error
+(``StateTable.live_terms``).
 Success configurations are then ranked by how far ahead the input each
 can parse (up to ``n_try`` tokens; reaching accept counts as the full
 distance): the furthest-parsing ones survive, the best-ordered sequence
@@ -43,6 +47,7 @@ baselines (see ``shift_style``):
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -87,12 +92,18 @@ class SearchOutcome:
     sequences: list[list[Repair]]   # ranked; trailing shifts pruned
     applied: list[Repair]           # == sequences[0]
     success_configs: int
-    merges: int
+    merges: int                     # made before the search stopped (see RawSearch)
 
 
 @dataclass
 class RawSearch:
-    """Pre-ranking view of a search: everything at minimum cost."""
+    """Pre-ranking view of a search: everything at minimum cost.
+
+    ``merges`` counts the merges made until the search stopped.  A
+    bucket's edits are built only after it drains without a success, so
+    the minimum-cost bucket's edits, and the merges they would make,
+    never happen.
+    """
 
     cost: int
     sequences: set[tuple[Repair, ...]]
@@ -120,8 +131,12 @@ class _Search:
         self.shift_c = table.eof + 1
         self.tok_ids = tok_ids
         self.params = params
-        budget = params.timeout_s if budget_s is None else budget_s
-        self.deadline = time.monotonic() + budget
+        if budget_s is None:
+            budget_s = params.timeout_s
+        elif math.isnan(budget_s):
+            # monotonic() > NaN never holds, so the search would not stop.
+            raise ValueError("budget_s must not be NaN")
+        self.deadline = time.monotonic() + budget_s
         self.shift_style = shift_style
         self.merge = merge
         self.live_terms = table.live_terms
@@ -167,8 +182,6 @@ class _Search:
         trailing shift count, ``after_delete`` whether its last repair was a
         delete.  Without merging, the repair node joins the key, so no two
         paths are ever equal."""
-        if self.c_max is not None and cost > self.c_max:
-            return
         while len(self.todo) <= cost:
             self.todo.append({})
         if self.merge:
@@ -182,37 +195,18 @@ class _Search:
 
     # -- neighbour generation -----------------------------------------------------
 
-    def _expand_config(self, cost: int, rm: Optional[_RepairNode], stack: Cactus,
-                       offset: int, tail: int, after_delete: bool) -> None:
-        add = self._add
+    def _zero_cost_moves(self, cost: int, rm: Optional[_RepairNode], stack: Cactus,
+                         offset: int, tail: int, after_delete: bool) -> None:
+        """Queue the moves that stay at ``cost``: the reduce-only endpoint
+        and the shifts.  Styles 2 and 3 emit the reduce-only endpoint when
+        reductions fired.  Style 3 then shifts one token; styles 1 and 2
+        make one greedy move that keeps shifting (with any interleaved
+        reductions) until n_shifts tokens went by or the parse stops."""
         tok_ids = self.tok_ids
-        cur = tok_ids[offset]
-        # Once c_max is known it is the cost being drained, and every edit
-        # costs at least 1, so an edit child could only be dropped.
-        if self.c_max is None:
-            # Inserts, in token declaration order, of the terminals with a
-            # non-error action on top of the stack.  An insert directly
-            # after a delete is suppressed: the same effect is always
-            # reachable as insert-then-delete, so exploring both just
-            # doubles the frontier.
-            if not after_delete:
-                insert_cost = self.insert_cost
-                for t in self.live_terms[stack.value]:
-                    reduced, cell, _ = self._reduce_to_action(stack, t)
-                    if cell & 3 == 2:
-                        add(cost + insert_cost[t], _RepairNode(t, rm),
-                            reduced.push(cell >> 2), offset, 0, False)
-            # Delete the next real token (never end-of-input).
-            if cur != self.eof:
-                add(cost + 1, _RepairNode(self.eof, rm), stack, offset + 1, 0, True)
-        # Shift moves.  Styles 2 and 3 emit the reduce-only endpoint when
-        # reductions fired.  Style 3 then shifts one token; styles 1 and 2
-        # make one greedy move that keeps shifting (with any interleaved
-        # reductions) until n_shifts tokens went by or the parse stops.
         style = self.shift_style
-        stack, cell, n_red = self._reduce_to_action(stack, cur)
+        stack, cell, n_red = self._reduce_to_action(stack, tok_ids[offset])
         if n_red and style != 1:
-            add(cost, _RepairNode(MARK_C, rm), stack, offset, tail, after_delete)
+            self._add(cost, _RepairNode(MARK_C, rm), stack, offset, tail, after_delete)
         limit = 1 if style == 3 else self.params.n_shifts
         shifted = 0
         while cell & 3 == 2:
@@ -223,7 +217,28 @@ class _Search:
                 break
             stack, cell, _ = self._reduce_to_action(stack, tok_ids[offset + shifted])
         if shifted:
-            add(cost, rm, stack, offset + shifted, tail + shifted, False)
+            self._add(cost, rm, stack, offset + shifted, tail + shifted, False)
+
+    def _edit_moves(self, cost: int, rm: Optional[_RepairNode], stack: Cactus,
+                    offset: int, after_delete: bool) -> None:
+        """Queue the inserts and the delete, each at a higher cost.
+
+        Inserts come in token declaration order, and only of the terminals
+        with a non-error action on top of the stack.  An insert directly
+        after a delete is suppressed: the same effect is always reachable
+        as insert-then-delete, so exploring both just doubles the frontier.
+        """
+        add = self._add
+        if not after_delete:
+            insert_cost = self.insert_cost
+            for t in self.live_terms[stack.value]:
+                reduced, cell, _ = self._reduce_to_action(stack, t)
+                if cell & 3 == 2:
+                    add(cost + insert_cost[t], _RepairNode(t, rm),
+                        reduced.push(cell >> 2), offset, 0, False)
+        # Delete the next real token (never end-of-input).
+        if self.tok_ids[offset] != self.eof:
+            add(cost + 1, _RepairNode(self.eof, rm), stack, offset + 1, 0, True)
 
     # -- main loop ------------------------------------------------------------------
 
@@ -241,6 +256,7 @@ class _Search:
         cost = 0
         while cost < len(self.todo):
             bucket = self.todo[cost]
+            expanded = []
             while bucket:
                 if monotonic() > self.deadline:
                     return None
@@ -249,9 +265,18 @@ class _Search:
                 if act[stack.value][tok_ids[offset]] == ACCEPT_CELL or tail >= n_shifts:
                     self._record_success(cost, stack, offset, rm)
                     continue  # successes are not expanded further
-                self._expand_config(cost, rm, stack, offset, tail, after_delete)
+                self._zero_cost_moves(cost, rm, stack, offset, tail, after_delete)
+                expanded.append((rm, stack, offset, after_delete))
             if self.c_max is not None:
                 break
+            # The bucket drained without a success, so its edits are
+            # needed after all.  They land only in costlier buckets, so
+            # building them now, in pop order, fills those buckets exactly
+            # as building them at each pop would have.
+            for rm, stack, offset, after_delete in expanded:
+                if monotonic() > self.deadline:
+                    return None
+                self._edit_moves(cost, rm, stack, offset, after_delete)
             cost += 1
         if not self.recorded:
             return None

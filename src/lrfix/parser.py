@@ -98,6 +98,8 @@ class RecoveryParams:
             raise ValueError("n_shifts must be at least 1")
         if self.n_try < self.n_shifts:
             raise ValueError("n_try must be at least n_shifts")
+        if not self.timeout_s >= 0:  # also catches NaN, which compares false
+            raise ValueError(f"timeout_s must be a number >= 0, got {self.timeout_s!r}")
 
     def cost_of_insert(self, token: str) -> int:
         """The cost of inserting ``token``: 1 unless ``insert_cost`` is set.

@@ -281,3 +281,23 @@ def test_main_rejects_zero_repeats(tmp_path, capsys):
         main([*STMT_ARGS, str(tmp_path), "--repeats", "0"])
     assert exc.value.code == 2
     assert "--repeats" in capsys.readouterr().err
+
+
+def test_main_rejects_a_lexer_token_the_grammar_lacks(tmp_path, capsys):
+    lx = tmp_path / "calc_at.l"
+    lx.write_text((FIXTURES / "calc.l").read_text(encoding="utf-8") + "@ 'AT'\n")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("1 @ 2")
+    code = main([str(lx), str(FIXTURES / "calc.y"), str(corpus)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"bench: {lx}: rules produce token(s) AT that {FIXTURES / 'calc.y'} does not declare\n"
+    )
+
+
+def test_main_rejects_a_negative_timeout(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*STMT_ARGS, str(tmp_path), "--timeout", "-1"])
+    assert exc.value.code == 2
+    assert "--timeout" in capsys.readouterr().err

@@ -148,6 +148,13 @@ def test_timeout_flag_is_wired_through(tmp_path, capsys):
     assert "Parsing error at line 1 col 3." in out.out
 
 
+def test_negative_timeout_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([CALC_L, CALC_Y, str(INPUTS / "calc_bad.txt"), "--timeout", "-1"])
+    assert exc.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
 def test_deterministic_output_is_stable(capsys):
     argv = [MJ_L, MJ_Y, str(INPUTS / "mini_java_bad.txt"), "--deterministic"]
     main(argv)

@@ -21,6 +21,7 @@ from lrfix import (
     parse_grammar,
     repair_search,
 )
+from lrfix import cpctplus
 from lrfix.parser import RECOVERERS, drive
 
 from conftest import INPUTS, first_error, grammar_of, small_grammars, synth_toks, table_of, toks_of
@@ -164,6 +165,14 @@ def test_zero_budget_times_out():
     assert repair_search(t, stack, ids, idx, budget_s=0.0) is None
 
 
+def test_nan_budget_is_refused():
+    t, stack, ids, idx = err_point("calc", ["INT", "INT", "+"])
+    with pytest.raises(ValueError, match="budget_s"):
+        repair_search(t, stack, ids, idx, budget_s=float("nan"))
+    with pytest.raises(ValueError, match="budget_s"):
+        min_repair_sequences(t, stack, ids, idx, budget_s=float("nan"))
+
+
 def test_shift_styles_agree_with_each_other_when_they_succeed():
     t, stack, ids, idx = err_point("calc", ["INT", "+", "+", "INT"])
     s2 = min_repair_sequences(t, stack, ids, idx, shift_style=2)
@@ -209,6 +218,28 @@ def replays(t, stack, ids, idx, seq, n_shifts):
             return False
         idx += 1
     return True
+
+
+def test_pinned_defect_reported_sequence_does_not_replay():
+    # A known defect, pinned: with 'a a a' the error is at end of input on
+    # stack 0 1 1 4.  The search inserts 'a', reduces under end of input
+    # (C, then A: %empty in state 3, then A: a C A) and inserts 'a' again.
+    # A parser fed the second 'a' reduces under 'a' instead, and in state 3
+    # the conflict keeps the shift over A: %empty, so the sequence does not
+    # replay, and parse() meets a second error right after applying it.
+    # The oracle makes the same moves and agrees.  A fix flips this test.
+    t = build_tables(parse_grammar("%token a b c\n%%\nA: | a C A;\nC: | A a;"))
+    toks = synth_toks(t, ["a", "a", "a"])
+    ids = [t.token_index[x.type] for x in toks]
+    stack = [0]
+    assert drive(t, stack, ids, 0, len(ids)) == (3, False)
+    assert stack == [0, 1, 1, 4]
+    found = (2, {(I("a"), I("a"))})
+    raw = min_repair_sequences(t, stack, ids, 3)
+    assert (raw.cost, raw.sequences) == found
+    assert oracle_min_repairs(t, list(stack), ids, 3) == found
+    assert not replays(t, stack, ids, 3, [I("a"), I("a")], RecoveryParams().n_shifts)
+    assert parse(t, toks).stats.costs == [2, 1]
 
 
 calc_names = st.lists(st.sampled_from(["INT", "+", "*", "(", ")"]), min_size=1, max_size=4)
@@ -344,81 +375,151 @@ def golden_point(name):
     return t, stack, ids, idx
 
 
-def outcome_digest(name, mode):
-    """sha256 of (cost, sequences, applied, success configs, merges): in
-    reported order for ``repair_search`` (the ranked modes), sorted for
-    the set that ``min_repair_sequences`` returns (the others)."""
+def search_outcome(name, mode):
+    """(cost, sequences, applied, success configs) and the merge count:
+    sequences in reported order for ``repair_search`` (the ranked modes),
+    sorted for the set that ``min_repair_sequences`` returns (the others)."""
     t, stack, ids, idx = golden_point(name)
     kw = SEARCH_MODES[mode]
     if mode in RANKED_MODES:
         out = repair_search(t, stack, ids, idx, budget_s=60.0, **kw)
-        blob = (out.cost, out.sequences, out.applied, out.success_configs, out.merges)
-    else:
-        raw = min_repair_sequences(t, stack, ids, idx, budget_s=60.0, **kw)
-        blob = (raw.cost, sorted(raw.sequences, key=repr), None, raw.success_configs, raw.merges)
-    return hashlib.sha256(repr(blob).encode()).hexdigest()
+        return (out.cost, out.sequences, out.applied, out.success_configs), out.merges
+    raw = min_repair_sequences(t, stack, ids, idx, budget_s=60.0, **kw)
+    return (raw.cost, sorted(raw.sequences, key=repr), None, raw.success_configs), raw.merges
 
 
-# Recorded before the frontier was keyed by configuration tuples.  Shift
-# style 1 finds no repair for calc_bad and searches until its budget runs
-# out, so that one pair is left out.
+# sha256 of each outcome's repr.  Shift style 1 finds no repair for
+# calc_bad and searches until its budget runs out, so that one pair is
+# left out.
 GOLDEN_OUTCOMES = {
-    ("calc_bad", "ranked"): "1ec381501e1b654b3f019e3f09cd255043a3d4b751b21a9d2bbe77a3d1e06c84",
-    ("calc_bad", "deterministic"): "d351915292cb066ecbf95be70f41d1847fe956940c37a8ad9d210b5dad6d4e66",
-    ("calc_bad", "style2"): "13bbe36f251400f809c08fa28ce317df2d32189e9610364a901a30764f74244f",
-    ("calc_bad", "style3"): "660b66e1264fa66ff86b8ad87e187a4947074ea20de284e467531b86f3e1df2d",
-    ("calc_bad", "unmerged"): "0f103f33f670a40fe882e3c85056cb79412fbb912d9babc00dda9320bba7bed4",
-    ("calc_double_plus", "ranked"): "e4ff4ce5f104c67d951579ba146861a4ba411efdf241f78e2896b55893a12015",
-    ("calc_double_plus", "deterministic"): "60cac25d44e6a36043bae9e57833e6101a7ba0e86297a1fb2dcff65b6c31c444",
-    ("calc_double_plus", "style1"): "c20842360d09d8f3570456b134eb01dc6a8c04673c49c66a3535d9ab8a716bac",
-    ("calc_double_plus", "style2"): "c20842360d09d8f3570456b134eb01dc6a8c04673c49c66a3535d9ab8a716bac",
-    ("calc_double_plus", "style3"): "c20842360d09d8f3570456b134eb01dc6a8c04673c49c66a3535d9ab8a716bac",
-    ("calc_double_plus", "unmerged"): "c20842360d09d8f3570456b134eb01dc6a8c04673c49c66a3535d9ab8a716bac",
-    ("mini_java_bad", "ranked"): "02e84dabb0d9ba3c6419bbeb71843f035da4ab7e04ca0f2ea7fdc3919778349a",
-    ("mini_java_bad", "deterministic"): "ece8c55ae3c830cad0a69fe98e9db4daae666d3dced6f779a8bb50dbe81fe962",
-    ("mini_java_bad", "style1"): "d5864cb6b40b5812e935d16e1813a00ea889396bc82f477c2db09806e10b2754",
-    ("mini_java_bad", "style2"): "d5864cb6b40b5812e935d16e1813a00ea889396bc82f477c2db09806e10b2754",
-    ("mini_java_bad", "style3"): "d5864cb6b40b5812e935d16e1813a00ea889396bc82f477c2db09806e10b2754",
-    ("mini_java_bad", "unmerged"): "d5864cb6b40b5812e935d16e1813a00ea889396bc82f477c2db09806e10b2754",
-    ("clike_open_paren", "ranked"): "ffd645fa355b78f819cb76b20b1c0a4f5116f8af50e91264f7086d664546846e",
-    ("clike_open_paren", "deterministic"): "9ea1cad4f4efa207280a61ca0c209508f9e314c1522726a499128dabbbb5ab4b",
-    ("clike_open_paren", "style1"): "4903ceee5aaaa7196b9feeecd288d387f56783836e27909b4a6a005ab1154c62",
-    ("clike_open_paren", "style2"): "7f23edb868ecfe6d9cf4e5c72dd9e6df4c5d9f29ae66eacfe981610166ae42da",
-    ("clike_open_paren", "style3"): "7f23edb868ecfe6d9cf4e5c72dd9e6df4c5d9f29ae66eacfe981610166ae42da",
-    ("clike_open_paren", "unmerged"): "a0d71a96c6d4106b0e821cb62795c3ef789b6145d4ba28ceffeb16688bfc05d0",
-    ("clike_if_assign", "ranked"): "9afffad3fe53df1d4653210445d26f3b09bf68cec93fa0e1a0b6765fa37d74f4",
-    ("clike_if_assign", "deterministic"): "6e45ea5eae557a1041ff4c27d17cdb2b39b8ad65db3f8d2872f95d19b081eea4",
-    ("clike_if_assign", "style1"): "7cbf83101091952ee6e9e8336012994e833c29c6c68dcd05d6ccd909d6c52719",
-    ("clike_if_assign", "style2"): "94cd5d660587ae35e92ee86bfe712eb985d794f3ebb56ca32f41db8931971d4d",
-    ("clike_if_assign", "style3"): "94cd5d660587ae35e92ee86bfe712eb985d794f3ebb56ca32f41db8931971d4d",
-    ("clike_if_assign", "unmerged"): "493b1d6d9c7c86e6b08b4fb4c2065ed71570ffba35afd904ea201068d3967474",
-    ("clike_closed_paren", "ranked"): "578bdb1245cb32d0f9691ca6218a5d2081a74ed4d3a047501c58c8bb8f9fe1e8",
-    ("clike_closed_paren", "deterministic"): "ee79302e1415313a628cefa4d273e7fe8214ade4ffc3299146be5c1fbe60e5be",
-    ("clike_closed_paren", "style1"): "be8f404b83e541081040125a6f148d32a0b1e17d4a034f282a1afaf2a1eb9f25",
-    ("clike_closed_paren", "style2"): "073b6dfadf05454f1a876654d6d60adc5dd1e6eedff32f899d4ef58c62c9c34f",
-    ("clike_closed_paren", "style3"): "96d7f020f85794a0f1abaa7ade05649d1268bf82756ad5d94f3ad764b6ae428e",
-    ("clike_closed_paren", "unmerged"): "16e28630f90333a21cedadf2f595f47e467540e7ec68a06136d1ffb88dee2758",
-    ("clike_three_ids", "ranked"): "af4cbede36001e7dd605f7dd4ba16a09ecde260efad5350237537f0cd226d8cf",
-    ("clike_three_ids", "deterministic"): "aee24ae632193ab8e75987c486c3f5d2a16cab52785dab5b901958f505d9da86",
-    ("clike_three_ids", "style1"): "5677381dbe84ae0b812a2654a17f7c9ce553a59bce19dc46d1999b19d6e53972",
-    ("clike_three_ids", "style2"): "4b7dd72a45065a73582a6a9627a2fc23cd525c9c99f205accbd1b004772af1e8",
-    ("clike_three_ids", "style3"): "4b7dd72a45065a73582a6a9627a2fc23cd525c9c99f205accbd1b004772af1e8",
-    ("clike_three_ids", "unmerged"): "776f3890d141b58696bb4797160ab53b23bcf150474fe48e6502ab6d2cfdf406",
-    # Non-uniform insert costs, recorded before the search stopped
-    # generating edits in the cheapest success bucket.
-    ("calc_bad", "weighted_deterministic"): "6074213366f9f06eee06d78884ccded162c34a789c30cc2ad77a2951d10b791c",
-    ("calc_bad", "weighted_style3"): "5257a17e7379a183d88c8854cddd8edabf95307bec8fc2c371324f5f926864c6",
-    ("calc_double_plus", "weighted_deterministic"): "ff12fa791eecb45b2b330d89a3e8de38ba6c8f0f56336e0f14d3fe839050074a",
-    ("calc_double_plus", "weighted_style3"): "44e838a738e469a00e594b91bb82749476c0eb45d91d58e60f91dbbacf9ff981",
-    ("clike_open_paren", "weighted_deterministic"): "7c1aa3c45c2aeaded6cc5f248cde9c2935b51c474b8a3c8ab925b8d8334168c4",
-    ("clike_open_paren", "weighted_style3"): "0a02ae9f6c08b832f2881d6c11d777fdd2e70ddc48000afaf49a707dbd9e2e54",
-    ("clike_if_assign", "weighted_deterministic"): "3ce4dfa0a63cb0abad7f3453d172989cb6c1f3d81166d0172f8cbc85be5a0481",
-    ("clike_if_assign", "weighted_style3"): "97aaa6c6441e9a2e10570e293df6c919b82eb70da4dfacbe8fbb17dddcb23e12",
+    ("calc_bad", "ranked"): "16ddce5785155010259648656b4a8109dc09ff7f99fcb4dae71b6747827f4c03",
+    ("calc_bad", "deterministic"): "b7f9deb865b663936b61dced1e76e1df0bb19296fed10ca78574510fdda166ac",
+    ("calc_bad", "style2"): "8e20c6706f838412d8da5c692f6ce00e3267384dc38e692d62a3fe1bfd93bf64",
+    ("calc_bad", "style3"): "0ad876e1f48ce5afd63f6ede9c295f3357ca604a8b89e0c833967848baa032d6",
+    ("calc_bad", "unmerged"): "d8c9edb64d70490fb6b3316715dcde41bad884cb3d051269c2fbcd09bbcbf20c",
+    ("calc_double_plus", "ranked"): "e0e5769387bf91a1c0c3283a6b2084bcf05507907ec0f96ae72e0a424f138770",
+    ("calc_double_plus", "deterministic"): "46b810862209b8f9595439f0a8756c6ffaff9fed4fd56c29b680fa14a29e6bc7",
+    ("calc_double_plus", "style1"): "caa0a6dc30f70fd4e533321cc537cfc96a84f54432833b65ab6f87315f327bf1",
+    ("calc_double_plus", "style2"): "caa0a6dc30f70fd4e533321cc537cfc96a84f54432833b65ab6f87315f327bf1",
+    ("calc_double_plus", "style3"): "caa0a6dc30f70fd4e533321cc537cfc96a84f54432833b65ab6f87315f327bf1",
+    ("calc_double_plus", "unmerged"): "caa0a6dc30f70fd4e533321cc537cfc96a84f54432833b65ab6f87315f327bf1",
+    ("mini_java_bad", "ranked"): "527dcf0e35fab73d550fb6c78ded4b90d7b8638b466d9bb8ebe26f3afac5c9a0",
+    ("mini_java_bad", "deterministic"): "c7392e464f66b7c858fb5d1a1b91e7324de766b9cd85e487984e929368951e88",
+    ("mini_java_bad", "style1"): "29888a5d29abbb5a6ae9f64be8c894f3487788ece3cab54033987067b005285d",
+    ("mini_java_bad", "style2"): "29888a5d29abbb5a6ae9f64be8c894f3487788ece3cab54033987067b005285d",
+    ("mini_java_bad", "style3"): "29888a5d29abbb5a6ae9f64be8c894f3487788ece3cab54033987067b005285d",
+    ("mini_java_bad", "unmerged"): "29888a5d29abbb5a6ae9f64be8c894f3487788ece3cab54033987067b005285d",
+    ("clike_open_paren", "ranked"): "6108b772e506089a464d681a73fc20b9eaa2a5933eccde1a0f7ab3db20e95716",
+    ("clike_open_paren", "deterministic"): "71560bfc75c8ccdc8b19199871feb08fc94fa8c8d4bee8e0690c6bb0bc630907",
+    ("clike_open_paren", "style1"): "77b34f59ecb80d6122c92a2d9ad6c8db00918edf3b02e6a2e416e7aaeac54e9b",
+    ("clike_open_paren", "style2"): "77b34f59ecb80d6122c92a2d9ad6c8db00918edf3b02e6a2e416e7aaeac54e9b",
+    ("clike_open_paren", "style3"): "77b34f59ecb80d6122c92a2d9ad6c8db00918edf3b02e6a2e416e7aaeac54e9b",
+    ("clike_open_paren", "unmerged"): "04eb55c66df1fd35b7273d993c5023c1ed8013a150c304a6dd580c526c1a1867",
+    ("clike_if_assign", "ranked"): "0e87366d9341b249d70043a5bde3ad0cad1e318512414b9cad545eef0ff7a4cc",
+    ("clike_if_assign", "deterministic"): "d6658b41c0a8e78e96947b821067a84751ad198380784ec37b43ea758e4bf9f2",
+    ("clike_if_assign", "style1"): "f2504fddbf46a5876dfbb21bb9acd33736dd8789f0fed11fcb9859f1474e2da6",
+    ("clike_if_assign", "style2"): "f2504fddbf46a5876dfbb21bb9acd33736dd8789f0fed11fcb9859f1474e2da6",
+    ("clike_if_assign", "style3"): "f2504fddbf46a5876dfbb21bb9acd33736dd8789f0fed11fcb9859f1474e2da6",
+    ("clike_if_assign", "unmerged"): "a4c0f2a877b4ffc39f30c9ca8a07f61592caed9abeb8a8b1a08ece1fa90a12aa",
+    ("clike_closed_paren", "ranked"): "a9b2c2670088e43ae83e615880be21dd78c4eb6109e4284433d6f2fc3847fd95",
+    ("clike_closed_paren", "deterministic"): "318c689e7dbca4b773f8eb6d807e1103f4016cc0bbb089798f03b60d3be1c6d9",
+    ("clike_closed_paren", "style1"): "43ae3f9df39dafe1626bd619fc8adb52c8f4c9c94d4c59eba9c76b97b4ee0a61",
+    ("clike_closed_paren", "style2"): "43ae3f9df39dafe1626bd619fc8adb52c8f4c9c94d4c59eba9c76b97b4ee0a61",
+    ("clike_closed_paren", "style3"): "bdc6400cc9e880429a7189005f62d4e932f2aa95b5f02c07ce3339abd67d4aed",
+    ("clike_closed_paren", "unmerged"): "b4da19f5f10465fe971cfd9d8035c8eccf6d33b1cc9e3f0e846d04e8d2c02051",
+    ("clike_three_ids", "ranked"): "53346334df0d8fe852c0e6639fd7b1d433e28fe476a7f211ba2cad19b674be1e",
+    ("clike_three_ids", "deterministic"): "711c49d941372d066076d6c66fa37fddeaf1ed0713033447ffdf163f31d0da31",
+    ("clike_three_ids", "style1"): "971759c478478546151d6ef1bc75a7dff0fa8fe15228614829da760c1597ee0c",
+    ("clike_three_ids", "style2"): "971759c478478546151d6ef1bc75a7dff0fa8fe15228614829da760c1597ee0c",
+    ("clike_three_ids", "style3"): "971759c478478546151d6ef1bc75a7dff0fa8fe15228614829da760c1597ee0c",
+    ("clike_three_ids", "unmerged"): "31b03b40975bfd8007fd27e44df475216e3fd1b9dc259d1cd328421688c3b16f",
+    ("calc_bad", "weighted_deterministic"): "91b45ca58e5ab7311231d8cbf747d43bd86b4f38b024d5f302a3678a45d3ebbf",
+    ("calc_bad", "weighted_style3"): "5c8a3130394de372615e3a84a665cc3e4c5aee8b365a170ea7e30694e43ce6e0",
+    ("calc_double_plus", "weighted_deterministic"): "6fc074e5722be629e4ed8db168bde669916366dc580cb74cd2e65580aa6371a9",
+    ("calc_double_plus", "weighted_style3"): "8c4fd62e13a98617f6f2dc954d697dfcf3e34fff37b34c1fe8a6874ed7beb73e",
+    ("clike_open_paren", "weighted_deterministic"): "56803161df8bb14beca1c3f8ec3203a22a33af3e4bcb92ba8bbc73b38242cb1f",
+    ("clike_open_paren", "weighted_style3"): "782e6379fb85155c7859ad464e6a3887954ce8b75ca857cdd009f44956b44d3a",
+    ("clike_if_assign", "weighted_deterministic"): "425b8d9b3e67667fcb4b8ca03638710b008c8553356b1b4a3ce03a2b180b5452",
+    ("clike_if_assign", "weighted_style3"): "b1476c579f0d2f3246e43d65b5f58601b7676dcfa5c7f71ecc32f83e10a23c60",
+}
+
+# Merges made before the search stopped.  Unlike the outcome, this count
+# depends on how much of the frontier is built beyond the minimum cost.
+GOLDEN_MERGES = {
+    ("calc_bad", "ranked"): 11,
+    ("calc_bad", "deterministic"): 11,
+    ("calc_bad", "style2"): 4,
+    ("calc_bad", "style3"): 11,
+    ("calc_bad", "unmerged"): 0,
+    ("calc_double_plus", "ranked"): 0,
+    ("calc_double_plus", "deterministic"): 0,
+    ("calc_double_plus", "style1"): 0,
+    ("calc_double_plus", "style2"): 0,
+    ("calc_double_plus", "style3"): 0,
+    ("calc_double_plus", "unmerged"): 0,
+    ("mini_java_bad", "ranked"): 0,
+    ("mini_java_bad", "deterministic"): 0,
+    ("mini_java_bad", "style1"): 0,
+    ("mini_java_bad", "style2"): 0,
+    ("mini_java_bad", "style3"): 0,
+    ("mini_java_bad", "unmerged"): 0,
+    ("clike_open_paren", "ranked"): 108,
+    ("clike_open_paren", "deterministic"): 108,
+    ("clike_open_paren", "style1"): 46,
+    ("clike_open_paren", "style2"): 108,
+    ("clike_open_paren", "style3"): 108,
+    ("clike_open_paren", "unmerged"): 0,
+    ("clike_if_assign", "ranked"): 998,
+    ("clike_if_assign", "deterministic"): 998,
+    ("clike_if_assign", "style1"): 409,
+    ("clike_if_assign", "style2"): 998,
+    ("clike_if_assign", "style3"): 998,
+    ("clike_if_assign", "unmerged"): 0,
+    ("clike_closed_paren", "ranked"): 470,
+    ("clike_closed_paren", "deterministic"): 470,
+    ("clike_closed_paren", "style1"): 64,
+    ("clike_closed_paren", "style2"): 153,
+    ("clike_closed_paren", "style3"): 470,
+    ("clike_closed_paren", "unmerged"): 0,
+    ("clike_three_ids", "ranked"): 249,
+    ("clike_three_ids", "deterministic"): 249,
+    ("clike_three_ids", "style1"): 204,
+    ("clike_three_ids", "style2"): 249,
+    ("clike_three_ids", "style3"): 249,
+    ("clike_three_ids", "unmerged"): 0,
+    ("calc_bad", "weighted_deterministic"): 11,
+    ("calc_bad", "weighted_style3"): 11,
+    ("calc_double_plus", "weighted_deterministic"): 0,
+    ("calc_double_plus", "weighted_style3"): 0,
+    ("clike_open_paren", "weighted_deterministic"): 14,
+    ("clike_open_paren", "weighted_style3"): 14,
+    ("clike_if_assign", "weighted_deterministic"): 476,
+    ("clike_if_assign", "weighted_style3"): 476,
 }
 
 
-@pytest.mark.parametrize(
-    "name,mode", [pytest.param(*key, id="-".join(key)) for key in sorted(GOLDEN_OUTCOMES)]
-)
+GOLDEN_POINTS = [pytest.param(*key, id="-".join(key)) for key in sorted(GOLDEN_OUTCOMES)]
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
 def test_search_outcomes_match_golden_digest(name, mode):
-    assert outcome_digest(name, mode) == GOLDEN_OUTCOMES[name, mode]
+    outcome, merges = search_outcome(name, mode)
+    assert hashlib.sha256(repr(outcome).encode()).hexdigest() == GOLDEN_OUTCOMES[name, mode]
+    assert merges == GOLDEN_MERGES[name, mode]
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_no_edits_are_built_at_the_minimum_cost(name, mode, monkeypatch):
+    # A bucket's inserts and deletes are built only once it drains without
+    # a success, so the bucket holding the cheapest success never builds
+    # any: each would cost more than the minimum and be dropped.
+    costs = []
+    edit_moves = cpctplus._Search._edit_moves
+
+    def spy(self, cost, *args):
+        costs.append(cost)
+        return edit_moves(self, cost, *args)
+
+    monkeypatch.setattr(cpctplus._Search, "_edit_moves", spy)
+    (cost, *_), _ = search_outcome(name, mode)
+    assert costs and max(costs) < cost

@@ -164,6 +164,16 @@ def test_recovery_params_validation():
         RecoveryParams(n_shifts=4, n_try=2)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, float("-inf")])
+def test_timeout_must_be_a_number_at_least_zero(bad):
+    # With NaN the search's deadline comparisons are all false, so it never
+    # stopped.
+    with pytest.raises(ValueError, match="timeout_s"):
+        RecoveryParams(timeout_s=bad)
+    RecoveryParams(timeout_s=0.0)
+    RecoveryParams(timeout_s=float("inf"))
+
+
 def test_unknown_recoverer_rejected():
     # Rejected before parsing: on clean input, and with no budget left.
     for text, params in (
