@@ -40,7 +40,7 @@ from .cli import non_negative_int, token_mismatch
 from .grammar import Grammar, parse_grammar
 from .lexer import LexError, LexSpec
 from .lrtable import build_tables
-from .parser import RECOVERERS, RecoveryParams, parse
+from .parser import RECOVERERS, ParserInternalError, RecoveryParams, parse
 
 CSV_COLUMNS = [
     "file",
@@ -447,15 +447,19 @@ def main(argv=None) -> int:
     summaries = []
     for rec in args.recoverer or ["cpctplus"]:
         t0 = time.monotonic()
-        records, summary = run_corpus(
-            args.corpus,
-            grammar,
-            lexspec,
-            recoverer=rec,
-            params=params,
-            repeats=args.repeats,
-            skip_threshold_pct=args.skip_threshold,
-        )
+        try:
+            records, summary = run_corpus(
+                args.corpus,
+                grammar,
+                lexspec,
+                recoverer=rec,
+                params=params,
+                repeats=args.repeats,
+                skip_threshold_pct=args.skip_threshold,
+            )
+        except ParserInternalError as e:
+            print(f"bench: {rec}: parsing failed: {e}", file=sys.stderr)
+            return 2
         wall = time.monotonic() - t0
         if args.bootstrap > 0 and records:
             summary.intervals = bootstrap(

@@ -16,7 +16,15 @@ from typing import Optional
 from .grammar import Grammar, GrammarError, parse_grammar
 from .lexer import LexError, LexSpec, LexSpecError, Token
 from .lrtable import build_tables
-from .parser import RECOVERERS, RecoveryParams, RecoveryReport, parse, render_repairs, tree_text
+from .parser import (
+    RECOVERERS,
+    ParserInternalError,
+    RecoveryParams,
+    RecoveryReport,
+    parse,
+    render_repairs,
+    tree_text,
+)
 
 
 def non_negative_int(text: str) -> int:
@@ -134,7 +142,10 @@ def main(argv=None) -> int:
     params = RecoveryParams(
         timeout_s=args.timeout / 1000.0, deterministic=args.deterministic
     )
-    result = parse(table, toks, src, recoverer=args.recoverer, params=params)
+    try:
+        result = parse(table, toks, src, recoverer=args.recoverer, params=params)
+    except ParserInternalError as e:
+        return complain(f"{args.input}: parsing failed: {e}")
 
     if not args.quiet:
         for report in result.reports:

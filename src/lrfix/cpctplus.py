@@ -20,6 +20,15 @@ reported even though only one configuration is expanded.  That
 compatibility tuple is the bucket's dictionary key, and the value is the
 configuration's repair node; the cost is the bucket index.
 
+Each configuration is expanded once.  The search keeps the key and repair
+node of every configuration it expanded, so a key that comes back after
+it was popped is not explored again.  From a costlier bucket it is
+dropped: its future is the cheaper copy's, so each of its completions
+costs more than one the search already reaches, and none can be of
+minimum cost.  From the same bucket its repair node is grafted onto the
+expanded one, as a merge in the queue would be.  Without merging every
+key holds its own repair node, so no key comes back and no table is kept.
+
 A popped configuration first gets only its zero-cost moves (shifts and
 reductions), which stay in its bucket.  Every edit costs at least 1 and
 lands in a costlier bucket, so a bucket's inserts and deletes are built
@@ -35,7 +44,10 @@ can parse (up to ``n_try`` tokens; reaching accept counts as the full
 distance): the furthest-parsing ones survive, the best-ordered sequence
 is applied, the rest are reported.
 ``rank_reversed=True`` inverts that choice — keeping the worst - which
-exists to measure how much the ranking itself buys.
+exists to measure how much the ranking itself buys.  The surviving
+configurations are expanded from the repair DAG into their distinct
+sequences.  One deadline bounds the search, the ranking and the
+expansion; once it passes, the search fails.
 
 Three shift-move flavours are kept around because they make instructive
 baselines (see ``shift_style``):
@@ -91,7 +103,7 @@ class SearchOutcome:
     cost: int
     sequences: list[list[Repair]]   # ranked; trailing shifts pruned
     applied: list[Repair]           # == sequences[0]
-    success_configs: int
+    success_configs: int            # before ranking (see RawSearch)
     merges: int                     # made before the search stopped (see RawSearch)
 
 
@@ -99,10 +111,13 @@ class SearchOutcome:
 class RawSearch:
     """Pre-ranking view of a search: everything at minimum cost.
 
-    ``merges`` counts the merges made until the search stopped.  A
-    bucket's edits are built only after it drains without a success, so
-    the minimum-cost bucket's edits, and the merges they would make,
-    never happen.
+    ``success_configs`` counts the distinct (input offset, main-path
+    repairs) endpoints that succeeded; paths grafted onto an expanded
+    configuration reach no endpoint of their own.  ``merges`` counts the
+    merges in the queue and the grafts onto expanded configurations made
+    until the search stopped.  A bucket's edits are built only after it
+    drains without a success, so the minimum-cost bucket's edits, and the
+    merges they would make, never happen.
     """
 
     cost: int
@@ -144,6 +159,9 @@ class _Search:
         self.insert_cost = [params.cost_of_insert(t) for t in table.tokens[: self.eof]]
 
         self.todo: list[dict] = []  # per cost: compatibility key -> repair node
+        # Expanded key -> (cost, repair node).  Without merging no two keys
+        # are equal, so the table would never hit.
+        self.closed: Optional[dict] = {} if merge else None
         self.recorded: dict = {}  # (offset, main chain) -> (stack, offset, repair node)
         self.merges = 0
         self.c_max: Optional[int] = None
@@ -242,16 +260,24 @@ class _Search:
 
     # -- main loop ------------------------------------------------------------------
 
-    def run(self, keep: Optional[Callable[[list[tuple]], list[tuple]]] = None):
+    def run(self, keep: Optional[Callable[[list[tuple]], Optional[list[tuple]]]] = None):
         """Search, then expand the success configurations that ``keep``
         selects (all by default; each is a (stack, offset, repair node)
         triple) into their distinct non-empty sequences, trailing shifts
         pruned, in discovery order.  Returns (cost, sequences, success
-        configs, merges), or None when the search fails.
+        configs, merges), or None when the search fails: no success was
+        found, or the deadline passed while searching, while ``keep``
+        ranked (it returns None then) or while expanding.
+
+        Each key is expanded once: ``closed`` maps it to the cost and
+        repair node it was expanded with, and a key that comes back is
+        dropped if that cost was lower, or grafted onto that node if it
+        is the same.
         """
         act = self.act
         tok_ids = self.tok_ids
         n_shifts = self.params.n_shifts
+        closed = self.closed
         monotonic = time.monotonic
         cost = 0
         while cost < len(self.todo):
@@ -265,6 +291,18 @@ class _Search:
                 if act[stack.value][tok_ids[offset]] == ACCEPT_CELL or tail >= n_shifts:
                     self._record_success(cost, stack, offset, rm)
                     continue  # successes are not expanded further
+                if closed is not None:
+                    seen = closed.get(key)
+                    if seen is not None:
+                        # Expanded already: a costlier copy cannot reach
+                        # the minimum, one of the same cost is grafted.
+                        old_cost, old = seen
+                        if (old_cost == cost and old is not rm
+                                and old is not None and rm is not None):
+                            old.add_merged(rm)
+                            self.merges += 1
+                        continue
+                    closed[key] = (cost, rm)
                 self._zero_cost_moves(cost, rm, stack, offset, tail, after_delete)
                 expanded.append((rm, stack, offset, after_delete))
             if self.c_max is not None:
@@ -281,9 +319,15 @@ class _Search:
         if not self.recorded:
             return None
         configs = list(self.recorded.values())
+        kept = configs if keep is None else keep(configs)
+        if kept is None:
+            return None  # the budget ran out while ranking
         seqs: dict[tuple[int, ...], None] = {}
-        for _, _, rm in configs if keep is None else keep(configs):
-            for raw in _expand(rm):
+        for _, _, rm in kept:
+            raws = _expand(rm, self.deadline)
+            if raws is None:
+                return None
+            for raw in raws:
                 end = len(raw)
                 while end and raw[end - 1] == self.shift_c:
                     end -= 1
@@ -316,25 +360,37 @@ def _main_chain(rm) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _expand(rm) -> list[tuple[int, ...]]:
-    """All repair sequences reaching a node, merged alternatives included."""
+def _expand(rm, deadline: float) -> Optional[list[tuple[int, ...]]]:
+    """All distinct repair sequences reaching a node, merged alternatives
+    included, in discovery order; None once ``time.monotonic()`` passes
+    ``deadline``."""
     memo: dict[int, list] = {}
+    monotonic = time.monotonic
 
-    def go(node) -> list[tuple[int, ...]]:
+    def go(node) -> Optional[list[tuple[int, ...]]]:
         if node is None:
             return [()]
         got = memo.get(id(node))
         if got is not None:
             return got
+        if monotonic() > deadline:
+            return None
         memo[id(node)] = []  # guards against cycles, which the cost grid rules out
         prefixes = go(node.parent)
+        if prefixes is None:
+            return None
         if node.repair == MARK_C:
             mine = list(prefixes)
         else:
             mine = [p + (node.repair,) for p in prefixes]
         if node.merged:
             for m in node.merged:
-                mine.extend(go(m))
+                alt = go(m)
+                if alt is None:
+                    return None
+                mine.extend(alt)
+            # Alternatives can share prefixes; keep each prefix once.
+            mine = list(dict.fromkeys(mine))
         memo[id(node)] = mine
         return mine
 
@@ -380,16 +436,20 @@ def repair_search(
 ) -> Optional[SearchOutcome]:
     """Full pipeline: search, rank, order, decode.  None means Fail."""
     params = params or RecoveryParams()
+    search = _Search(table, stack, tok_ids, offset, params, budget_s, shift_style, merge)
 
-    def rank(configs: list[tuple]) -> list[tuple]:
+    def rank(configs: list[tuple]) -> Optional[list[tuple]]:
         # Keep the configurations that parse furthest ahead (or, reversed,
-        # the least far).
-        dists = [_parse_distance(table, stk, off, tok_ids, params.n_try)
-                 for stk, off, _ in configs]
+        # the least far); None once the budget runs out.
+        dists = []
+        for stk, off, _ in configs:
+            if time.monotonic() > search.deadline:
+                return None
+            dists.append(_parse_distance(table, stk, off, tok_ids, params.n_try))
         best = min(dists) if rank_reversed else max(dists)
         return [c for c, d in zip(configs, dists) if d == best]
 
-    found = _Search(table, stack, tok_ids, offset, params, budget_s, shift_style, merge).run(rank)
+    found = search.run(rank)
     if found is None or not found[1]:
         return None
     cost, ordered, n_configs, merges = found

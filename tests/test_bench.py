@@ -301,3 +301,19 @@ def test_main_rejects_a_negative_timeout(tmp_path, capsys):
         main([*STMT_ARGS, str(tmp_path), "--timeout", "-1"])
     assert exc.value.code == 2
     assert "--timeout" in capsys.readouterr().err
+
+
+def test_main_exits_two_when_parsing_fails(tmp_path, capsys):
+    # A cyclic grammar sends the parser into a runaway chain of reductions.
+    g = tmp_path / "g.y"
+    g.write_text("%token x\n%%\nS: B | A S;\nA: ;\nB: ;\n")
+    lx = tmp_path / "l.l"
+    lx.write_text("x x\n")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "empty.txt").write_text("")
+    code = main([str(lx), str(g), str(corpus), "--repeats", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "bench: cpctplus: parsing failed: reduce chain did not terminate\n"

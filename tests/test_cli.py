@@ -162,3 +162,25 @@ def test_deterministic_output_is_stable(capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second == MJ_EXPECTED
+
+
+CYCLIC_GRAMMAR = "%token x\n%%\nS: B | A S;\nA: ;\nB: ;\n"
+
+
+def test_parse_failure_exits_two_with_one_line(tmp_path, capsys):
+    # The grammar is cyclic, so the parser gives up after a runaway chain
+    # of reductions; that is a failed parse, not a repaired one.
+    g = tmp_path / "g.y"
+    g.write_text(CYCLIC_GRAMMAR)
+    lx = tmp_path / "l.l"
+    lx.write_text("x x\n")
+    src = tmp_path / "empty.txt"
+    src.write_text("")
+    code = main([str(lx), str(g), str(src)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        f"lrfix: {g}: 0 shift/reduce, 2 reduce/reduce conflicts",
+        f"lrfix: {src}: parsing failed: reduce chain did not terminate",
+    ]

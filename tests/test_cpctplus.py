@@ -90,12 +90,14 @@ def test_no_insert_straight_after_delete():
 
 
 def test_merging_does_not_change_the_answer():
-    t, stack, ids, idx = err_point("calc", ["INT", "INT", "+"])
-    plain = min_repair_sequences(t, stack, ids, idx, merge=False)
-    merged = min_repair_sequences(t, stack, ids, idx, merge=True)
-    assert plain.cost == merged.cost
-    assert plain.sequences == merged.sequences
-    assert merged.success_configs <= plain.success_configs
+    points = [err_point("calc", ["INT", "INT", "+"])]
+    points += [golden_point(name) for name in CLIKE_PROGRAMS]
+    for t, stack, ids, idx in points:
+        plain = min_repair_sequences(t, stack, ids, idx, budget_s=60.0, merge=False)
+        merged = min_repair_sequences(t, stack, ids, idx, budget_s=60.0, merge=True)
+        assert plain.cost == merged.cost
+        assert plain.sequences == merged.sequences
+        assert merged.success_configs <= plain.success_configs
 
 
 def test_weighted_inserts_change_the_minimum():
@@ -163,6 +165,65 @@ def test_reversed_ranking_still_minimal_cost():
 def test_zero_budget_times_out():
     t, stack, ids, idx = err_point("calc", ["INT", "INT", "+"])
     assert repair_search(t, stack, ids, idx, budget_s=0.0) is None
+
+
+class JumpingClock:
+    """A stand-in for ``cpctplus.time`` whose clock stands still until
+    ``jump`` moves it far past any deadline."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def monotonic(self):
+        return self.now
+
+    def jump(self):
+        self.now = 1e9
+
+
+@pytest.mark.parametrize("name", ["calc_bad", "clike_three_ids"])
+def test_the_budget_bounds_ranking_and_expansion(name, monkeypatch):
+    # The clock passes the deadline as the first success is recorded, so
+    # whatever work is left (the rest of the bucket, ranking or expanding
+    # the sequences) must give up.  Then it passes again during ranking,
+    # and as the repair DAG is expanded.
+    t, stack, ids, idx = golden_point(name)
+    clock = JumpingClock()
+    monkeypatch.setattr(cpctplus, "time", clock)
+    record = cpctplus._Search._record_success
+
+    def record_then_jump(self, *args):
+        record(self, *args)
+        clock.jump()
+
+    with monkeypatch.context() as m:
+        m.setattr(cpctplus._Search, "_record_success", record_then_jump)
+        assert repair_search(t, stack, ids, idx) is None
+        clock.now = 0.0
+        assert min_repair_sequences(t, stack, ids, idx) is None
+
+    distance = cpctplus._parse_distance
+    drives = []
+
+    def distance_then_jump(*args):
+        drives.append(args)
+        clock.jump()
+        return distance(*args)
+
+    clock.now = 0.0
+    monkeypatch.setattr(cpctplus, "_parse_distance", distance_then_jump)
+    assert repair_search(t, stack, ids, idx) is None
+    assert len(drives) == 1
+
+    expand = cpctplus._expand
+
+    def jump_then_expand(*args):
+        clock.jump()
+        return expand(*args)
+
+    clock.now = 0.0
+    monkeypatch.setattr(cpctplus, "_expand", jump_then_expand)
+    assert min_repair_sequences(t, stack, ids, idx) is None
 
 
 def test_nan_budget_is_refused():
@@ -376,125 +437,180 @@ def golden_point(name):
 
 
 def search_outcome(name, mode):
-    """(cost, sequences, applied, success configs) and the merge count:
+    """(cost, sequences, applied), the success configs and the merge count:
     sequences in reported order for ``repair_search`` (the ranked modes),
     sorted for the set that ``min_repair_sequences`` returns (the others)."""
     t, stack, ids, idx = golden_point(name)
     kw = SEARCH_MODES[mode]
     if mode in RANKED_MODES:
         out = repair_search(t, stack, ids, idx, budget_s=60.0, **kw)
-        return (out.cost, out.sequences, out.applied, out.success_configs), out.merges
+        return (out.cost, out.sequences, out.applied), out.success_configs, out.merges
     raw = min_repair_sequences(t, stack, ids, idx, budget_s=60.0, **kw)
-    return (raw.cost, sorted(raw.sequences, key=repr), None, raw.success_configs), raw.merges
+    return (raw.cost, sorted(raw.sequences, key=repr), None), raw.success_configs, raw.merges
 
 
 # sha256 of each outcome's repr.  Shift style 1 finds no repair for
 # calc_bad and searches until its budget runs out, so that one pair is
 # left out.
 GOLDEN_OUTCOMES = {
-    ("calc_bad", "ranked"): "16ddce5785155010259648656b4a8109dc09ff7f99fcb4dae71b6747827f4c03",
-    ("calc_bad", "deterministic"): "b7f9deb865b663936b61dced1e76e1df0bb19296fed10ca78574510fdda166ac",
-    ("calc_bad", "style2"): "8e20c6706f838412d8da5c692f6ce00e3267384dc38e692d62a3fe1bfd93bf64",
-    ("calc_bad", "style3"): "0ad876e1f48ce5afd63f6ede9c295f3357ca604a8b89e0c833967848baa032d6",
-    ("calc_bad", "unmerged"): "d8c9edb64d70490fb6b3316715dcde41bad884cb3d051269c2fbcd09bbcbf20c",
-    ("calc_double_plus", "ranked"): "e0e5769387bf91a1c0c3283a6b2084bcf05507907ec0f96ae72e0a424f138770",
-    ("calc_double_plus", "deterministic"): "46b810862209b8f9595439f0a8756c6ffaff9fed4fd56c29b680fa14a29e6bc7",
-    ("calc_double_plus", "style1"): "caa0a6dc30f70fd4e533321cc537cfc96a84f54432833b65ab6f87315f327bf1",
-    ("calc_double_plus", "style2"): "caa0a6dc30f70fd4e533321cc537cfc96a84f54432833b65ab6f87315f327bf1",
-    ("calc_double_plus", "style3"): "caa0a6dc30f70fd4e533321cc537cfc96a84f54432833b65ab6f87315f327bf1",
-    ("calc_double_plus", "unmerged"): "caa0a6dc30f70fd4e533321cc537cfc96a84f54432833b65ab6f87315f327bf1",
-    ("mini_java_bad", "ranked"): "527dcf0e35fab73d550fb6c78ded4b90d7b8638b466d9bb8ebe26f3afac5c9a0",
-    ("mini_java_bad", "deterministic"): "c7392e464f66b7c858fb5d1a1b91e7324de766b9cd85e487984e929368951e88",
-    ("mini_java_bad", "style1"): "29888a5d29abbb5a6ae9f64be8c894f3487788ece3cab54033987067b005285d",
-    ("mini_java_bad", "style2"): "29888a5d29abbb5a6ae9f64be8c894f3487788ece3cab54033987067b005285d",
-    ("mini_java_bad", "style3"): "29888a5d29abbb5a6ae9f64be8c894f3487788ece3cab54033987067b005285d",
-    ("mini_java_bad", "unmerged"): "29888a5d29abbb5a6ae9f64be8c894f3487788ece3cab54033987067b005285d",
-    ("clike_open_paren", "ranked"): "6108b772e506089a464d681a73fc20b9eaa2a5933eccde1a0f7ab3db20e95716",
-    ("clike_open_paren", "deterministic"): "71560bfc75c8ccdc8b19199871feb08fc94fa8c8d4bee8e0690c6bb0bc630907",
-    ("clike_open_paren", "style1"): "77b34f59ecb80d6122c92a2d9ad6c8db00918edf3b02e6a2e416e7aaeac54e9b",
-    ("clike_open_paren", "style2"): "77b34f59ecb80d6122c92a2d9ad6c8db00918edf3b02e6a2e416e7aaeac54e9b",
-    ("clike_open_paren", "style3"): "77b34f59ecb80d6122c92a2d9ad6c8db00918edf3b02e6a2e416e7aaeac54e9b",
-    ("clike_open_paren", "unmerged"): "04eb55c66df1fd35b7273d993c5023c1ed8013a150c304a6dd580c526c1a1867",
-    ("clike_if_assign", "ranked"): "0e87366d9341b249d70043a5bde3ad0cad1e318512414b9cad545eef0ff7a4cc",
-    ("clike_if_assign", "deterministic"): "d6658b41c0a8e78e96947b821067a84751ad198380784ec37b43ea758e4bf9f2",
-    ("clike_if_assign", "style1"): "f2504fddbf46a5876dfbb21bb9acd33736dd8789f0fed11fcb9859f1474e2da6",
-    ("clike_if_assign", "style2"): "f2504fddbf46a5876dfbb21bb9acd33736dd8789f0fed11fcb9859f1474e2da6",
-    ("clike_if_assign", "style3"): "f2504fddbf46a5876dfbb21bb9acd33736dd8789f0fed11fcb9859f1474e2da6",
-    ("clike_if_assign", "unmerged"): "a4c0f2a877b4ffc39f30c9ca8a07f61592caed9abeb8a8b1a08ece1fa90a12aa",
-    ("clike_closed_paren", "ranked"): "a9b2c2670088e43ae83e615880be21dd78c4eb6109e4284433d6f2fc3847fd95",
-    ("clike_closed_paren", "deterministic"): "318c689e7dbca4b773f8eb6d807e1103f4016cc0bbb089798f03b60d3be1c6d9",
-    ("clike_closed_paren", "style1"): "43ae3f9df39dafe1626bd619fc8adb52c8f4c9c94d4c59eba9c76b97b4ee0a61",
-    ("clike_closed_paren", "style2"): "43ae3f9df39dafe1626bd619fc8adb52c8f4c9c94d4c59eba9c76b97b4ee0a61",
-    ("clike_closed_paren", "style3"): "bdc6400cc9e880429a7189005f62d4e932f2aa95b5f02c07ce3339abd67d4aed",
-    ("clike_closed_paren", "unmerged"): "b4da19f5f10465fe971cfd9d8035c8eccf6d33b1cc9e3f0e846d04e8d2c02051",
-    ("clike_three_ids", "ranked"): "53346334df0d8fe852c0e6639fd7b1d433e28fe476a7f211ba2cad19b674be1e",
-    ("clike_three_ids", "deterministic"): "711c49d941372d066076d6c66fa37fddeaf1ed0713033447ffdf163f31d0da31",
-    ("clike_three_ids", "style1"): "971759c478478546151d6ef1bc75a7dff0fa8fe15228614829da760c1597ee0c",
-    ("clike_three_ids", "style2"): "971759c478478546151d6ef1bc75a7dff0fa8fe15228614829da760c1597ee0c",
-    ("clike_three_ids", "style3"): "971759c478478546151d6ef1bc75a7dff0fa8fe15228614829da760c1597ee0c",
-    ("clike_three_ids", "unmerged"): "31b03b40975bfd8007fd27e44df475216e3fd1b9dc259d1cd328421688c3b16f",
-    ("calc_bad", "weighted_deterministic"): "91b45ca58e5ab7311231d8cbf747d43bd86b4f38b024d5f302a3678a45d3ebbf",
-    ("calc_bad", "weighted_style3"): "5c8a3130394de372615e3a84a665cc3e4c5aee8b365a170ea7e30694e43ce6e0",
-    ("calc_double_plus", "weighted_deterministic"): "6fc074e5722be629e4ed8db168bde669916366dc580cb74cd2e65580aa6371a9",
-    ("calc_double_plus", "weighted_style3"): "8c4fd62e13a98617f6f2dc954d697dfcf3e34fff37b34c1fe8a6874ed7beb73e",
-    ("clike_open_paren", "weighted_deterministic"): "56803161df8bb14beca1c3f8ec3203a22a33af3e4bcb92ba8bbc73b38242cb1f",
-    ("clike_open_paren", "weighted_style3"): "782e6379fb85155c7859ad464e6a3887954ce8b75ca857cdd009f44956b44d3a",
-    ("clike_if_assign", "weighted_deterministic"): "425b8d9b3e67667fcb4b8ca03638710b008c8553356b1b4a3ce03a2b180b5452",
-    ("clike_if_assign", "weighted_style3"): "b1476c579f0d2f3246e43d65b5f58601b7676dcfa5c7f71ecc32f83e10a23c60",
+    ("calc_bad", "ranked"): "6679cbe38233389bec73a37d10bb02dacf5013a1f1b3cde1cc3466a71e4765b4",
+    ("calc_bad", "deterministic"): "d7cc6b0e32c0ac42c0a466102439d9454e53f92f4f125c73c5040b9e8c2ac277",
+    ("calc_bad", "style2"): "ab98ebf9436769216814b2e7ca13de9b85f6286daf8d31cb9517be8e4f0cb9e0",
+    ("calc_bad", "style3"): "225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f",
+    ("calc_bad", "unmerged"): "225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f",
+    ("calc_double_plus", "ranked"): "f3cca46e7f04ae293d878f079b0c9f62d81a12be4f9977f83d7e9b37b51395fc",
+    ("calc_double_plus", "deterministic"): "c2aabd8d50444d49afb276ffc5706147f7bbef3c2a60edc453c50f57f9eb7e5a",
+    ("calc_double_plus", "style1"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
+    ("calc_double_plus", "style2"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
+    ("calc_double_plus", "style3"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
+    ("calc_double_plus", "unmerged"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
+    ("mini_java_bad", "ranked"): "9e6b5bca61069136e94174a18d7e7965b08be0e0afb27be80a32697442c42152",
+    ("mini_java_bad", "deterministic"): "408844ccbd4b5e7ea61d69b004738e16d4366cc19b7405a7e85aa33bda49fb7e",
+    ("mini_java_bad", "style1"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
+    ("mini_java_bad", "style2"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
+    ("mini_java_bad", "style3"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
+    ("mini_java_bad", "unmerged"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
+    ("clike_open_paren", "ranked"): "341f1d967ae93c88b7d00604400213f057e5b87f109e62ed7fe56b632c21e765",
+    ("clike_open_paren", "deterministic"): "5c49028aa53823fce01eba568312ce571186ff019fce285e2ca1706aa6948724",
+    ("clike_open_paren", "style1"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
+    ("clike_open_paren", "style2"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
+    ("clike_open_paren", "style3"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
+    ("clike_open_paren", "unmerged"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
+    ("clike_if_assign", "ranked"): "a3dc31f7f1709fb960541c5955ca81990981045fb8b6882e3c54ac6df2e64cd0",
+    ("clike_if_assign", "deterministic"): "5db3b5770b27e422b76062e0ab420fe1888db66ed25761402d938b0256b12efc",
+    ("clike_if_assign", "style1"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
+    ("clike_if_assign", "style2"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
+    ("clike_if_assign", "style3"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
+    ("clike_if_assign", "unmerged"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
+    ("clike_closed_paren", "ranked"): "7ba6de6e9821bdc1a443df30ec4de56cb7ebf6264625a2f39ae04eed600b1015",
+    ("clike_closed_paren", "deterministic"): "af506726920e6c0d4a4ad3a4d2fa7fb80277a8907beea8d404c54dd3d9556030",
+    ("clike_closed_paren", "style1"): "70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b",
+    ("clike_closed_paren", "style2"): "70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b",
+    ("clike_closed_paren", "style3"): "52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d",
+    ("clike_closed_paren", "unmerged"): "52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d",
+    ("clike_three_ids", "ranked"): "6199ce2ef8680905e9ac9fce2086cc5822238b9b66e0a5e9f8e21bf308caae58",
+    ("clike_three_ids", "deterministic"): "33094bd4787aa667fe9e14c58f1dbf13b0162ceb5a9646e5f31d2a5964288345",
+    ("clike_three_ids", "style1"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
+    ("clike_three_ids", "style2"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
+    ("clike_three_ids", "style3"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
+    ("clike_three_ids", "unmerged"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
+    ("calc_bad", "weighted_deterministic"): "7af5d8432a2d1ef6f0d1ee72105557851daa8b71621afede5d8ac0527d671ea9",
+    ("calc_bad", "weighted_style3"): "514b552098c01af271511cec33588440538e760aa162a4e5aabfd795b5ea11b2",
+    ("calc_double_plus", "weighted_deterministic"): "771406b2a4fce5e1fd3c37fd266a849de00dd6bf8f2f064fe70f1096ca738b24",
+    ("calc_double_plus", "weighted_style3"): "a91be2d6a6bb9ad5c0108afac2b6a33c4c31821619eeeb6622902919d06a433e",
+    ("clike_open_paren", "weighted_deterministic"): "520c94d73e726f710eadf29d362fc901731065222ec6ce2164a357ebc2766fdd",
+    ("clike_open_paren", "weighted_style3"): "df6d25de06049ac7519d7c5a8526ef591fd533ba6db575010b9f994f57270d77",
+    ("clike_if_assign", "weighted_deterministic"): "1fc2238bc614d8ce4251ff3b6952ad19a9ca2402980686a1ae3158ed21ecd476",
+    ("clike_if_assign", "weighted_style3"): "acfcf1da0aa5a5252c641cc2d059f1423c0be5e05ab046842eb68f7cbfdbe224",
+}
+
+# Success configurations before ranking: the distinct (input offset,
+# main-path repairs) endpoints at the minimum cost.  Like the merge count,
+# this depends on how the search folds paths together, not on the answer.
+GOLDEN_SUCCESS_CONFIGS = {
+    ("calc_bad", "ranked"): 5,
+    ("calc_bad", "deterministic"): 5,
+    ("calc_bad", "style2"): 3,
+    ("calc_bad", "style3"): 5,
+    ("calc_bad", "unmerged"): 6,
+    ("calc_double_plus", "ranked"): 2,
+    ("calc_double_plus", "deterministic"): 2,
+    ("calc_double_plus", "style1"): 2,
+    ("calc_double_plus", "style2"): 2,
+    ("calc_double_plus", "style3"): 2,
+    ("calc_double_plus", "unmerged"): 2,
+    ("mini_java_bad", "ranked"): 2,
+    ("mini_java_bad", "deterministic"): 2,
+    ("mini_java_bad", "style1"): 3,
+    ("mini_java_bad", "style2"): 3,
+    ("mini_java_bad", "style3"): 2,
+    ("mini_java_bad", "unmerged"): 3,
+    ("clike_open_paren", "ranked"): 1,
+    ("clike_open_paren", "deterministic"): 1,
+    ("clike_open_paren", "style1"): 1,
+    ("clike_open_paren", "style2"): 1,
+    ("clike_open_paren", "style3"): 1,
+    ("clike_open_paren", "unmerged"): 3,
+    ("clike_if_assign", "ranked"): 1,
+    ("clike_if_assign", "deterministic"): 1,
+    ("clike_if_assign", "style1"): 2,
+    ("clike_if_assign", "style2"): 2,
+    ("clike_if_assign", "style3"): 1,
+    ("clike_if_assign", "unmerged"): 6,
+    ("clike_closed_paren", "ranked"): 1,
+    ("clike_closed_paren", "deterministic"): 1,
+    ("clike_closed_paren", "style1"): 3,
+    ("clike_closed_paren", "style2"): 3,
+    ("clike_closed_paren", "style3"): 1,
+    ("clike_closed_paren", "unmerged"): 12,
+    ("clike_three_ids", "ranked"): 3,
+    ("clike_three_ids", "deterministic"): 3,
+    ("clike_three_ids", "style1"): 224,
+    ("clike_three_ids", "style2"): 224,
+    ("clike_three_ids", "style3"): 3,
+    ("clike_three_ids", "unmerged"): 401,
+    ("calc_bad", "weighted_deterministic"): 3,
+    ("calc_bad", "weighted_style3"): 3,
+    ("calc_double_plus", "weighted_deterministic"): 1,
+    ("calc_double_plus", "weighted_style3"): 1,
+    ("clike_open_paren", "weighted_deterministic"): 1,
+    ("clike_open_paren", "weighted_style3"): 1,
+    ("clike_if_assign", "weighted_deterministic"): 1,
+    ("clike_if_assign", "weighted_style3"): 1,
 }
 
 # Merges made before the search stopped.  Unlike the outcome, this count
 # depends on how much of the frontier is built beyond the minimum cost.
 GOLDEN_MERGES = {
-    ("calc_bad", "ranked"): 11,
-    ("calc_bad", "deterministic"): 11,
-    ("calc_bad", "style2"): 4,
-    ("calc_bad", "style3"): 11,
+    ("calc_bad", "ranked"): 10,
+    ("calc_bad", "deterministic"): 10,
+    ("calc_bad", "style2"): 3,
+    ("calc_bad", "style3"): 10,
     ("calc_bad", "unmerged"): 0,
-    ("calc_double_plus", "ranked"): 0,
-    ("calc_double_plus", "deterministic"): 0,
+    ("calc_double_plus", "ranked"): 1,
+    ("calc_double_plus", "deterministic"): 1,
     ("calc_double_plus", "style1"): 0,
     ("calc_double_plus", "style2"): 0,
-    ("calc_double_plus", "style3"): 0,
+    ("calc_double_plus", "style3"): 1,
     ("calc_double_plus", "unmerged"): 0,
-    ("mini_java_bad", "ranked"): 0,
-    ("mini_java_bad", "deterministic"): 0,
+    ("mini_java_bad", "ranked"): 5,
+    ("mini_java_bad", "deterministic"): 5,
     ("mini_java_bad", "style1"): 0,
     ("mini_java_bad", "style2"): 0,
-    ("mini_java_bad", "style3"): 0,
+    ("mini_java_bad", "style3"): 5,
     ("mini_java_bad", "unmerged"): 0,
-    ("clike_open_paren", "ranked"): 108,
-    ("clike_open_paren", "deterministic"): 108,
+    ("clike_open_paren", "ranked"): 66,
+    ("clike_open_paren", "deterministic"): 66,
     ("clike_open_paren", "style1"): 46,
-    ("clike_open_paren", "style2"): 108,
-    ("clike_open_paren", "style3"): 108,
+    ("clike_open_paren", "style2"): 64,
+    ("clike_open_paren", "style3"): 66,
     ("clike_open_paren", "unmerged"): 0,
-    ("clike_if_assign", "ranked"): 998,
-    ("clike_if_assign", "deterministic"): 998,
-    ("clike_if_assign", "style1"): 409,
-    ("clike_if_assign", "style2"): 998,
-    ("clike_if_assign", "style3"): 998,
+    ("clike_if_assign", "ranked"): 465,
+    ("clike_if_assign", "deterministic"): 465,
+    ("clike_if_assign", "style1"): 373,
+    ("clike_if_assign", "style2"): 462,
+    ("clike_if_assign", "style3"): 465,
     ("clike_if_assign", "unmerged"): 0,
-    ("clike_closed_paren", "ranked"): 470,
-    ("clike_closed_paren", "deterministic"): 470,
-    ("clike_closed_paren", "style1"): 64,
-    ("clike_closed_paren", "style2"): 153,
-    ("clike_closed_paren", "style3"): 470,
+    ("clike_closed_paren", "ranked"): 121,
+    ("clike_closed_paren", "deterministic"): 121,
+    ("clike_closed_paren", "style1"): 53,
+    ("clike_closed_paren", "style2"): 82,
+    ("clike_closed_paren", "style3"): 121,
     ("clike_closed_paren", "unmerged"): 0,
-    ("clike_three_ids", "ranked"): 249,
-    ("clike_three_ids", "deterministic"): 249,
-    ("clike_three_ids", "style1"): 204,
-    ("clike_three_ids", "style2"): 249,
-    ("clike_three_ids", "style3"): 249,
+    ("clike_three_ids", "ranked"): 700,
+    ("clike_three_ids", "deterministic"): 700,
+    ("clike_three_ids", "style1"): 244,
+    ("clike_three_ids", "style2"): 290,
+    ("clike_three_ids", "style3"): 700,
     ("clike_three_ids", "unmerged"): 0,
-    ("calc_bad", "weighted_deterministic"): 11,
-    ("calc_bad", "weighted_style3"): 11,
+    ("calc_bad", "weighted_deterministic"): 10,
+    ("calc_bad", "weighted_style3"): 10,
     ("calc_double_plus", "weighted_deterministic"): 0,
     ("calc_double_plus", "weighted_style3"): 0,
-    ("clike_open_paren", "weighted_deterministic"): 14,
-    ("clike_open_paren", "weighted_style3"): 14,
-    ("clike_if_assign", "weighted_deterministic"): 476,
-    ("clike_if_assign", "weighted_style3"): 476,
+    ("clike_open_paren", "weighted_deterministic"): 16,
+    ("clike_open_paren", "weighted_style3"): 16,
+    ("clike_if_assign", "weighted_deterministic"): 199,
+    ("clike_if_assign", "weighted_style3"): 199,
 }
 
 
@@ -503,8 +619,9 @@ GOLDEN_POINTS = [pytest.param(*key, id="-".join(key)) for key in sorted(GOLDEN_O
 
 @pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
 def test_search_outcomes_match_golden_digest(name, mode):
-    outcome, merges = search_outcome(name, mode)
+    outcome, success_configs, merges = search_outcome(name, mode)
     assert hashlib.sha256(repr(outcome).encode()).hexdigest() == GOLDEN_OUTCOMES[name, mode]
+    assert success_configs == GOLDEN_SUCCESS_CONFIGS[name, mode]
     assert merges == GOLDEN_MERGES[name, mode]
 
 
@@ -521,5 +638,42 @@ def test_no_edits_are_built_at_the_minimum_cost(name, mode, monkeypatch):
         return edit_moves(self, cost, *args)
 
     monkeypatch.setattr(cpctplus._Search, "_edit_moves", spy)
-    (cost, *_), _ = search_outcome(name, mode)
+    (cost, *_), _, _ = search_outcome(name, mode)
     assert costs and max(costs) < cost
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_each_configuration_is_expanded_once(name, mode, monkeypatch):
+    # A configuration that comes back after it was expanded is dropped
+    # (from a costlier bucket) or grafted onto the expanded one (from the
+    # same bucket), so no search configuration gets its moves twice.
+    keys = []
+    zero_cost_moves = cpctplus._Search._zero_cost_moves
+
+    def spy(self, cost, rm, stack, offset, tail, after_delete):
+        key = (stack, offset, tail, after_delete)
+        keys.append(key if self.merge else key + (rm,))
+        return zero_cost_moves(self, cost, rm, stack, offset, tail, after_delete)
+
+    monkeypatch.setattr(cpctplus._Search, "_zero_cost_moves", spy)
+    search_outcome(name, mode)
+    assert keys and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_expansion_yields_each_sequence_once(name, mode, monkeypatch):
+    # Grafts can reach one prefix along several paths through the repair
+    # DAG; expansion keeps each prefix once instead of copying it on.
+    expanded = []
+    expand = cpctplus._expand
+
+    def spy(*args):
+        out = expand(*args)
+        expanded.append(out)
+        return out
+
+    monkeypatch.setattr(cpctplus, "_expand", spy)
+    search_outcome(name, mode)
+    assert expanded
+    for seqs in expanded:
+        assert len(set(seqs)) == len(seqs)
