@@ -5,10 +5,9 @@ explores sequences of three edits — insert a token, delete the next input
 token, or shift it unchanged — looking for every cheapest way to get the
 parse moving again.  Deletes cost 1, inserts cost 1 unless a per-token
 insert cost (an int of at least 1) is given, shifts cost 0.  A branch
-*succeeds* when its configuration either sits on an accept action or has
-just shifted ``n_shifts`` input tokens in a row: genuine repairs let real
-input flow again, so demanding a run of shifts filters out edits that
-only thrash.
+*succeeds* when its configuration either accepts or has just shifted
+``n_shifts`` input tokens in a row: genuine repairs let real input flow
+again, so demanding a run of shifts filters out edits that only thrash.
 
 The frontier is kept in cost-ordered buckets (a Dijkstra-style queue on a
 uniform cost grid).  Within a bucket, configurations that *compatible*
@@ -53,8 +52,12 @@ Three shift-move flavours are kept around because they make instructive
 baselines (see ``shift_style``):
 
 * 1 — one greedy move that shifts up to ``n_shifts`` tokens;
-* 2 — the greedy move, plus a reduce-only move when reductions fired;
-* 3 (default) — single-token shift plus the reduce-only move.
+* 2 — greedy move, accept after reductions;
+* 3 (default) — single-token shift, accept after reductions.
+
+The search reduces only as ``parse()`` does when it replays a repair:
+under a token on the way to shifting it, inserting it or accepting.  So
+every sequence it reports replays.
 """
 
 from __future__ import annotations
@@ -73,9 +76,6 @@ from .parser import ParserInternalError, RecoveryParams, Repair, REDUCE_CHAIN_LI
 # integer order is the canonical order (inserts by token, then delete,
 # then shift): inserting token t is t itself, delete is the EOF index
 # (EOF is never inserted), shift is one past it.
-MARK_C = -1         # internal "reductions happened here" marker; never reported
-
-
 class _RepairNode:
     """One edge of the repair DAG: a repair code plus the path before it.
 
@@ -152,6 +152,8 @@ class _Search:
             # monotonic() > NaN never holds, so the search would not stop.
             raise ValueError("budget_s must not be NaN")
         self.deadline = time.monotonic() + budget_s
+        if type(shift_style) is not int or shift_style not in (1, 2, 3):
+            raise ValueError(f"shift_style must be 1, 2 or 3, not {shift_style!r}")
         self.shift_style = shift_style
         self.merge = merge
         self.live_terms = table.live_terms
@@ -174,13 +176,14 @@ class _Search:
 
     def _reduce_to_action(self, stack: Cactus, t: int):
         """Reduce under lookahead ``t`` until the action is shift, accept or
-        error; returns (stack, action cell, reductions applied)."""
+        error; returns (stack, action cell).  The reduced stack is kept
+        only if the cell shifts ``t`` or accepts, as the parser would."""
         act, goto, arity, prule = self.act, self.goto, self.arity, self.prule
         n = 0
         while True:
             cell = act[stack.value][t]
             if cell & 3 != 3:
-                return stack, cell, n
+                return stack, cell
             p = cell >> 2
             popped = stack.drop(arity[p])
             g = goto[popped.value][prule[p]]
@@ -215,16 +218,17 @@ class _Search:
 
     def _zero_cost_moves(self, cost: int, rm: Optional[_RepairNode], stack: Cactus,
                          offset: int, tail: int, after_delete: bool) -> None:
-        """Queue the moves that stay at ``cost``: the reduce-only endpoint
-        and the shifts.  Styles 2 and 3 emit the reduce-only endpoint when
-        reductions fired.  Style 3 then shifts one token; styles 1 and 2
-        make one greedy move that keeps shifting (with any interleaved
-        reductions) until n_shifts tokens went by or the parse stops."""
+        """Queue the moves that stay at ``cost``.  If reductions under the
+        next token end on accept, styles 2 and 3 queue the reduced stack
+        with ``rm`` itself: no other move hangs off ``rm``, as an accept
+        cell has no shift and a bucket holding a success builds no edits.
+        Otherwise style 3 shifts one token; styles 1 and 2 make one greedy
+        move that shifts until n_shifts tokens went by or the parse stops."""
         tok_ids = self.tok_ids
         style = self.shift_style
-        stack, cell, n_red = self._reduce_to_action(stack, tok_ids[offset])
-        if n_red and style != 1:
-            self._add(cost, _RepairNode(MARK_C, rm), stack, offset, tail, after_delete)
+        stack, cell = self._reduce_to_action(stack, tok_ids[offset])
+        if cell == ACCEPT_CELL and style != 1:
+            self._add(cost, rm, stack, offset, tail, after_delete)
         limit = 1 if style == 3 else self.params.n_shifts
         shifted = 0
         while cell & 3 == 2:
@@ -233,7 +237,9 @@ class _Search:
             rm = _RepairNode(self.shift_c, rm)
             if shifted == limit:
                 break
-            stack, cell, _ = self._reduce_to_action(stack, tok_ids[offset + shifted])
+            reduced, cell = self._reduce_to_action(stack, tok_ids[offset + shifted])
+            if cell & 3 == 2 or cell == ACCEPT_CELL:
+                stack = reduced
         if shifted:
             self._add(cost, rm, stack, offset + shifted, tail + shifted, False)
 
@@ -250,7 +256,7 @@ class _Search:
         if not after_delete:
             insert_cost = self.insert_cost
             for t in self.live_terms[stack.value]:
-                reduced, cell, _ = self._reduce_to_action(stack, t)
+                reduced, cell = self._reduce_to_action(stack, t)
                 if cell & 3 == 2:
                     add(cost + insert_cost[t], _RepairNode(t, rm),
                         reduced.push(cell >> 2), offset, 0, False)
@@ -353,8 +359,7 @@ def _main_chain(rm) -> tuple[int, ...]:
     out = []
     node = rm
     while node is not None:
-        if node.repair != MARK_C:
-            out.append(node.repair)
+        out.append(node.repair)
         node = node.parent
     out.reverse()
     return tuple(out)
@@ -379,10 +384,7 @@ def _expand(rm, deadline: float) -> Optional[list[tuple[int, ...]]]:
         prefixes = go(node.parent)
         if prefixes is None:
             return None
-        if node.repair == MARK_C:
-            mine = list(prefixes)
-        else:
-            mine = [p + (node.repair,) for p in prefixes]
+        mine = [p + (node.repair,) for p in prefixes]
         if node.merged:
             for m in node.merged:
                 alt = go(m)
@@ -518,7 +520,7 @@ def oracle_min_repairs(
         while True:
             cell = act[stk_l[-1]][t]
             if cell & 3 != 3:
-                return stk_l, cell, n
+                return stk_l, cell
             p = cell >> 2
             if arity[p]:
                 del stk_l[-arity[p] :]
@@ -548,29 +550,25 @@ def oracle_min_repairs(
         queue = deque(levels[cost])
         while queue:
             stk, off, reps = queue.popleft()
-            cell = act[stk[-1]][tok_ids[off]]
-            if cell == ACCEPT_CELL or (
-                len(reps) >= n_shifts and all(r == "s" for r in reps[-n_shifts:])
-            ):
+            if len(reps) >= n_shifts and all(r == "s" for r in reps[-n_shifts:]):
+                successes.append(reps)
+                continue
+            # Reduce under the next token only to accept or shift it.
+            reduced, cell = reduce_all(stk, tok_ids[off])
+            if cell == ACCEPT_CELL:
                 successes.append(reps)
                 continue
             if not (reps and reps[-1] == "d"):
                 for t in range(n_terms):
-                    stk2, cell2, _ = reduce_all(stk, t)
+                    stk2, cell2 = reduce_all(stk, t)
                     if cell2 & 3 == 2:
                         stk2.append(cell2 >> 2)
                         emit(cost + 1, (tuple(stk2), off, reps + (("i", t),)))
             if tok_ids[off] != eof:
                 emit(cost + 1, (stk, off + 1, reps + ("d",)))
-            stk2, cell2, n_red = reduce_all(stk, tok_ids[off])
-            if n_red:
-                nxt = (tuple(stk2), off, reps)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-            if cell2 & 3 == 2:
-                stk2.append(cell2 >> 2)
-                nxt = (tuple(stk2), off + 1, reps + ("s",))
+            if cell & 3 == 2:
+                reduced.append(cell >> 2)
+                nxt = (tuple(reduced), off + 1, reps + ("s",))
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)

@@ -226,6 +226,15 @@ def test_the_budget_bounds_ranking_and_expansion(name, monkeypatch):
     assert min_repair_sequences(t, stack, ids, idx) is None
 
 
+@pytest.mark.parametrize("style", [7, 0, "3", 3.0, True], ids=repr)
+def test_unknown_shift_style_is_refused(style):
+    t, stack, ids, idx = err_point("calc", ["INT", "INT", "+"])
+    with pytest.raises(ValueError, match=f"shift_style.*{style!r}"):
+        repair_search(t, stack, ids, idx, shift_style=style)
+    with pytest.raises(ValueError, match=f"shift_style.*{style!r}"):
+        min_repair_sequences(t, stack, ids, idx, shift_style=style)
+
+
 def test_nan_budget_is_refused():
     t, stack, ids, idx = err_point("calc", ["INT", "INT", "+"])
     with pytest.raises(ValueError, match="budget_s"):
@@ -281,26 +290,41 @@ def replays(t, stack, ids, idx, seq, n_shifts):
     return True
 
 
-def test_pinned_defect_reported_sequence_does_not_replay():
-    # A known defect, pinned: with 'a a a' the error is at end of input on
-    # stack 0 1 1 4.  The search inserts 'a', reduces under end of input
-    # (C, then A: %empty in state 3, then A: a C A) and inserts 'a' again.
-    # A parser fed the second 'a' reduces under 'a' instead, and in state 3
-    # the conflict keeps the shift over A: %empty, so the sequence does not
-    # replay, and parse() meets a second error right after applying it.
-    # The oracle makes the same moves and agrees.  A fix flips this test.
-    t = build_tables(parse_grammar("%token a b c\n%%\nA: | a C A;\nC: | A a;"))
-    toks = synth_toks(t, ["a", "a", "a"])
+NO_REPLAYABLE_REPAIR = {
+    # Error at end of input on stack 0 1 1 4.  Inserting 'a', reducing
+    # under end of input (C, then A: %empty in state 3, then A: a C A) and
+    # inserting 'a' again would not replay: a parser fed the second 'a'
+    # reduces under 'a' instead, and in state 3 the conflict keeps the
+    # shift over A: %empty.
+    "a_c_a": ("%token a b c\n%%\nA: | a C A;\nC: | A a;", "a a a"),
+    "c_a_b": ("%token a b\n%%\nA: | C A | a A C;\nB: ;\nC: b;", "a"),
+    "a_b_a": ("%token a\n%%\nA: | A B;\nB: a A a;", "a a a a"),
+    # The greedy move of shift styles 1 and 2, after shifting 'c', must
+    # not keep the stack reduced under the 'b' it cannot shift: an insert
+    # from that stack does not replay.
+    "greedy": ("%token a b c\n%%\nA: c | A A | a C;\nB: A;\nC: B B b;", "a b c b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_REPLAYABLE_REPAIR))
+def test_no_repair_is_reported_that_does_not_replay(name):
+    # A search that reduces under a token it then does not shift, insert
+    # or accept reports sequences the parser cannot replay.  None of these
+    # points has a repair that replays, so each must fail.
+    grammar, text = NO_REPLAYABLE_REPAIR[name]
+    t = build_tables(parse_grammar(grammar))
+    toks = synth_toks(t, text.split())
     ids = [t.token_index[x.type] for x in toks]
     stack = [0]
-    assert drive(t, stack, ids, 0, len(ids)) == (3, False)
-    assert stack == [0, 1, 1, 4]
-    found = (2, {(I("a"), I("a"))})
-    raw = min_repair_sequences(t, stack, ids, 3)
-    assert (raw.cost, raw.sequences) == found
-    assert oracle_min_repairs(t, list(stack), ids, 3) == found
-    assert not replays(t, stack, ids, 3, [I("a"), I("a")], RecoveryParams().n_shifts)
-    assert parse(t, toks).stats.costs == [2, 1]
+    idx, accepted = drive(t, stack, ids, 0, len(ids))
+    assert not accepted
+    for style in (1, 2, 3):
+        assert min_repair_sequences(t, stack, ids, idx, budget_s=0.2, shift_style=style) is None
+    assert oracle_min_repairs(t, list(stack), ids, idx) is None
+    r = parse(t, toks, params=RecoveryParams(timeout_s=0.2))
+    assert not r.success
+    assert len(r.reports) == 1
+    assert r.stats.costs == []
 
 
 calc_names = st.lists(st.sampled_from(["INT", "+", "*", "(", ")"]), min_size=1, max_size=4)
@@ -352,10 +376,11 @@ def test_search_equals_oracle_on_small_grammars(case, merge, data):
         return  # searching to the budget here would dominate the test's time
     raw = min_repair_sequences(t, stack, ids, idx, budget_s=5)
     assert (raw.cost, raw.sequences) == found
-    out = repair_search(t, stack, ids, idx, budget_s=5)
     n_shifts = RecoveryParams().n_shifts
-    for seq in out.sequences:
+    for seq in raw.sequences:
         assert replays(t, stack, ids, idx, seq, n_shifts), seq
+    out = repair_search(t, stack, ids, idx, budget_s=5)
+    assert {tuple(seq) for seq in out.sequences} <= raw.sequences
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,7 +478,7 @@ def search_outcome(name, mode):
 # calc_bad and searches until its budget runs out, so that one pair is
 # left out.
 GOLDEN_OUTCOMES = {
-    ("calc_bad", "ranked"): "6679cbe38233389bec73a37d10bb02dacf5013a1f1b3cde1cc3466a71e4765b4",
+    ("calc_bad", "ranked"): "744852ac5742fd45a6b82b19eb8cbc26e07956484ea003faaf98dc371129e014",
     ("calc_bad", "deterministic"): "d7cc6b0e32c0ac42c0a466102439d9454e53f92f4f125c73c5040b9e8c2ac277",
     ("calc_bad", "style2"): "ab98ebf9436769216814b2e7ca13de9b85f6286daf8d31cb9517be8e4f0cb9e0",
     ("calc_bad", "style3"): "225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f",
@@ -482,13 +507,13 @@ GOLDEN_OUTCOMES = {
     ("clike_if_assign", "style2"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
     ("clike_if_assign", "style3"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
     ("clike_if_assign", "unmerged"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
-    ("clike_closed_paren", "ranked"): "7ba6de6e9821bdc1a443df30ec4de56cb7ebf6264625a2f39ae04eed600b1015",
+    ("clike_closed_paren", "ranked"): "43eb4a6d49641518ba0d350d8c12d95c538ef327bdaf7c8be4d6d1665b089089",
     ("clike_closed_paren", "deterministic"): "af506726920e6c0d4a4ad3a4d2fa7fb80277a8907beea8d404c54dd3d9556030",
     ("clike_closed_paren", "style1"): "70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b",
     ("clike_closed_paren", "style2"): "70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b",
     ("clike_closed_paren", "style3"): "52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d",
     ("clike_closed_paren", "unmerged"): "52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d",
-    ("clike_three_ids", "ranked"): "6199ce2ef8680905e9ac9fce2086cc5822238b9b66e0a5e9f8e21bf308caae58",
+    ("clike_three_ids", "ranked"): "b1548a62edf42fd4137369d9542d9d554b0fb56a882325c96d5d53fa2edd2a27",
     ("clike_three_ids", "deterministic"): "33094bd4787aa667fe9e14c58f1dbf13b0162ceb5a9646e5f31d2a5964288345",
     ("clike_three_ids", "style1"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
     ("clike_three_ids", "style2"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
@@ -562,55 +587,55 @@ GOLDEN_SUCCESS_CONFIGS = {
 # Merges made before the search stopped.  Unlike the outcome, this count
 # depends on how much of the frontier is built beyond the minimum cost.
 GOLDEN_MERGES = {
-    ("calc_bad", "ranked"): 10,
-    ("calc_bad", "deterministic"): 10,
-    ("calc_bad", "style2"): 3,
-    ("calc_bad", "style3"): 10,
+    ("calc_bad", "ranked"): 2,
+    ("calc_bad", "deterministic"): 2,
+    ("calc_bad", "style2"): 2,
+    ("calc_bad", "style3"): 2,
     ("calc_bad", "unmerged"): 0,
-    ("calc_double_plus", "ranked"): 1,
-    ("calc_double_plus", "deterministic"): 1,
+    ("calc_double_plus", "ranked"): 0,
+    ("calc_double_plus", "deterministic"): 0,
     ("calc_double_plus", "style1"): 0,
     ("calc_double_plus", "style2"): 0,
-    ("calc_double_plus", "style3"): 1,
+    ("calc_double_plus", "style3"): 0,
     ("calc_double_plus", "unmerged"): 0,
-    ("mini_java_bad", "ranked"): 5,
-    ("mini_java_bad", "deterministic"): 5,
+    ("mini_java_bad", "ranked"): 1,
+    ("mini_java_bad", "deterministic"): 1,
     ("mini_java_bad", "style1"): 0,
     ("mini_java_bad", "style2"): 0,
-    ("mini_java_bad", "style3"): 5,
+    ("mini_java_bad", "style3"): 1,
     ("mini_java_bad", "unmerged"): 0,
-    ("clike_open_paren", "ranked"): 66,
-    ("clike_open_paren", "deterministic"): 66,
+    ("clike_open_paren", "ranked"): 46,
+    ("clike_open_paren", "deterministic"): 46,
     ("clike_open_paren", "style1"): 46,
-    ("clike_open_paren", "style2"): 64,
-    ("clike_open_paren", "style3"): 66,
+    ("clike_open_paren", "style2"): 46,
+    ("clike_open_paren", "style3"): 46,
     ("clike_open_paren", "unmerged"): 0,
-    ("clike_if_assign", "ranked"): 465,
-    ("clike_if_assign", "deterministic"): 465,
+    ("clike_if_assign", "ranked"): 374,
+    ("clike_if_assign", "deterministic"): 374,
     ("clike_if_assign", "style1"): 373,
-    ("clike_if_assign", "style2"): 462,
-    ("clike_if_assign", "style3"): 465,
+    ("clike_if_assign", "style2"): 373,
+    ("clike_if_assign", "style3"): 374,
     ("clike_if_assign", "unmerged"): 0,
-    ("clike_closed_paren", "ranked"): 121,
-    ("clike_closed_paren", "deterministic"): 121,
+    ("clike_closed_paren", "ranked"): 57,
+    ("clike_closed_paren", "deterministic"): 57,
     ("clike_closed_paren", "style1"): 53,
-    ("clike_closed_paren", "style2"): 82,
-    ("clike_closed_paren", "style3"): 121,
+    ("clike_closed_paren", "style2"): 53,
+    ("clike_closed_paren", "style3"): 57,
     ("clike_closed_paren", "unmerged"): 0,
-    ("clike_three_ids", "ranked"): 700,
-    ("clike_three_ids", "deterministic"): 700,
-    ("clike_three_ids", "style1"): 244,
-    ("clike_three_ids", "style2"): 290,
-    ("clike_three_ids", "style3"): 700,
+    ("clike_three_ids", "ranked"): 429,
+    ("clike_three_ids", "deterministic"): 429,
+    ("clike_three_ids", "style1"): 208,
+    ("clike_three_ids", "style2"): 208,
+    ("clike_three_ids", "style3"): 429,
     ("clike_three_ids", "unmerged"): 0,
-    ("calc_bad", "weighted_deterministic"): 10,
-    ("calc_bad", "weighted_style3"): 10,
+    ("calc_bad", "weighted_deterministic"): 2,
+    ("calc_bad", "weighted_style3"): 2,
     ("calc_double_plus", "weighted_deterministic"): 0,
     ("calc_double_plus", "weighted_style3"): 0,
-    ("clike_open_paren", "weighted_deterministic"): 16,
-    ("clike_open_paren", "weighted_style3"): 16,
-    ("clike_if_assign", "weighted_deterministic"): 199,
-    ("clike_if_assign", "weighted_style3"): 199,
+    ("clike_open_paren", "weighted_deterministic"): 0,
+    ("clike_open_paren", "weighted_style3"): 0,
+    ("clike_if_assign", "weighted_deterministic"): 138,
+    ("clike_if_assign", "weighted_style3"): 138,
 }
 
 
@@ -623,6 +648,15 @@ def test_search_outcomes_match_golden_digest(name, mode):
     assert hashlib.sha256(repr(outcome).encode()).hexdigest() == GOLDEN_OUTCOMES[name, mode]
     assert success_configs == GOLDEN_SUCCESS_CONFIGS[name, mode]
     assert merges == GOLDEN_MERGES[name, mode]
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_every_golden_sequence_replays(name, mode):
+    t, stack, ids, idx = golden_point(name)
+    (_, sequences, _), _, _ = search_outcome(name, mode)
+    n_shifts = RecoveryParams().n_shifts
+    for seq in sequences:
+        assert replays(t, stack, ids, idx, seq, n_shifts), seq
 
 
 @pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
