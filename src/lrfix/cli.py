@@ -107,15 +107,16 @@ def main(argv=None) -> int:
         print(f"lrfix: {msg}", file=sys.stderr)
         return 2
 
-    try:
-        with open(args.lexer, encoding="utf-8") as f:
-            lex_text = f.read()
-        with open(args.grammar, encoding="utf-8") as f:
-            grammar_text = f.read()
-        with open(args.input, encoding="utf-8") as f:
-            src = f.read()
-    except OSError as e:
-        return complain(str(e))
+    texts = []
+    for path in (args.lexer, args.grammar, args.input):
+        try:
+            with open(path, encoding="utf-8") as f:
+                texts.append(f.read())
+        except OSError as e:
+            return complain(str(e))
+        except UnicodeDecodeError as e:
+            return complain(f"{path}: not UTF-8: {e}")
+    lex_text, grammar_text, src = texts
 
     try:
         lexspec = LexSpec.parse(lex_text)

@@ -10,23 +10,21 @@ insert cost (an int of at least 1) is given, shifts cost 0.  A branch
 again, so demanding a run of shifts filters out edits that only thrash.
 
 The frontier is kept in cost-ordered buckets (a Dijkstra-style queue on a
-uniform cost grid).  Within a bucket, configurations that *compatible*
-paths reached — same parser stack, same input position, same trailing
-shift run, same just-deleted flag — are merged rather than explored
-twice: the repair sequences that led there are grafted onto the surviving
-configuration as a parent-pointer DAG, so every sequence can still be
-reported even though only one configuration is expanded.  That
-compatibility tuple is the bucket's dictionary key, and the value is the
-configuration's repair node; the cost is the bucket index.
-
-Each configuration is expanded once.  The search keeps the key and repair
-node of every configuration it expanded, so a key that comes back after
-it was popped is not explored again.  From a costlier bucket it is
-dropped: its future is the cheaper copy's, so each of its completions
-costs more than one the search already reaches, and none can be of
-minimum cost.  From the same bucket its repair node is grafted onto the
-expanded one, as a merge in the queue would be.  Without merging every
-key holds its own repair node, so no key comes back and no table is kept.
+uniform cost grid).  Configurations that *compatible* paths reached —
+same parser stack, same input position, same trailing shift run, same
+just-deleted flag — are explored once: one table maps that compatibility
+tuple to the cost and repair node of its first arrival.  A later arrival
+at the same cost is grafted onto that node as a parent-pointer DAG, so
+every sequence can still be reported even though only one configuration
+is expanded.  A later arrival at a higher cost is dropped: its future is
+the first arrival's, so each of its completions costs more than one the
+search already reaches, and none can be of minimum cost.  No arrival is
+ever cheaper than the first, because the tuple fixes the cost of the
+move that reaches it (a shift or the accept check is free, a delete
+costs 1, and an insert costs what the token entering the top state
+does), buckets drain in cost order, and a bucket's edits are built
+before the next one drains.  Without merging the repair node joins the
+tuple, so no two paths are ever compatible.
 
 A popped configuration first gets only its zero-cost moves (shifts and
 reductions), which stay in its bucket.  Every edit costs at least 1 and
@@ -66,7 +64,7 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .cactus import Cactus
 from .lrtable import ACCEPT_CELL, StateTable
@@ -112,12 +110,13 @@ class RawSearch:
     """Pre-ranking view of a search: everything at minimum cost.
 
     ``success_configs`` counts the distinct (input offset, main-path
-    repairs) endpoints that succeeded; paths grafted onto an expanded
+    repairs) endpoints that succeeded; paths grafted onto another
     configuration reach no endpoint of their own.  ``merges`` counts the
-    merges in the queue and the grafts onto expanded configurations made
-    until the search stopped.  A bucket's edits are built only after it
-    drains without a success, so the minimum-cost bucket's edits, and the
-    merges they would make, never happen.
+    paths grafted onto the first arrival at the same configuration and
+    cost until the search stopped; costlier arrivals are dropped, not
+    counted.  A bucket's edits are built only after it drains without a
+    success, so the minimum-cost bucket's edits, and the merges they would
+    make, never happen.
     """
 
     cost: int
@@ -160,10 +159,8 @@ class _Search:
         # EOF is last and never inserted.
         self.insert_cost = [params.cost_of_insert(t) for t in table.tokens[: self.eof]]
 
-        self.todo: list[dict] = []  # per cost: compatibility key -> repair node
-        # Expanded key -> (cost, repair node).  Without merging no two keys
-        # are equal, so the table would never hit.
-        self.closed: Optional[dict] = {} if merge else None
+        self.todo: list[list] = []  # per cost: compatibility keys, popped last first
+        self.best: dict = {}  # compatibility key -> (cost, repair node) of its first arrival
         self.recorded: dict = {}  # (offset, main chain) -> (stack, offset, repair node)
         self.merges = 0
         self.c_max: Optional[int] = None
@@ -198,21 +195,28 @@ class _Search:
 
     def _add(self, cost: int, rm: Optional[_RepairNode], stack: Cactus, offset: int,
              tail: int, after_delete: bool) -> None:
-        """Queue a configuration at ``cost``; a compatible one already queued
-        there absorbs its repair node instead.  ``tail`` is the main path's
-        trailing shift count, ``after_delete`` whether its last repair was a
-        delete.  Without merging, the repair node joins the key, so no two
-        paths are ever equal."""
-        while len(self.todo) <= cost:
-            self.todo.append({})
+        """Queue a configuration at ``cost`` on its first arrival; graft a
+        later arrival at the same cost onto the first one's repair node, and
+        drop one at a higher cost (none is ever lower: see the module
+        docstring).  ``tail`` is the main path's trailing shift count,
+        ``after_delete`` whether its last repair was a delete.  Without
+        merging, the repair node joins the key, so no two paths are ever
+        equal."""
         if self.merge:
             key = (stack, offset, tail, after_delete)
         else:
             key = (stack, offset, tail, after_delete, rm)
-        old = self.todo[cost].setdefault(key, rm)
-        if old is not rm and old is not None and rm is not None:
-            old.add_merged(rm)
-            self.merges += 1
+        seen = self.best.get(key)
+        if seen is None:
+            self.best[key] = (cost, rm)
+            while len(self.todo) <= cost:
+                self.todo.append([])
+            self.todo[cost].append(key)
+        elif seen[0] == cost:
+            old = seen[1]
+            if old is not rm and old is not None and rm is not None:
+                old.add_merged(rm)
+                self.merges += 1
 
     # -- neighbour generation -----------------------------------------------------
 
@@ -266,24 +270,14 @@ class _Search:
 
     # -- main loop ------------------------------------------------------------------
 
-    def run(self, keep: Optional[Callable[[list[tuple]], Optional[list[tuple]]]] = None):
-        """Search, then expand the success configurations that ``keep``
-        selects (all by default; each is a (stack, offset, repair node)
-        triple) into their distinct non-empty sequences, trailing shifts
-        pruned, in discovery order.  Returns (cost, sequences, success
-        configs, merges), or None when the search fails: no success was
-        found, or the deadline passed while searching, while ``keep``
-        ranked (it returns None then) or while expanding.
-
-        Each key is expanded once: ``closed`` maps it to the cost and
-        repair node it was expanded with, and a key that comes back is
-        dropped if that cost was lower, or grafted onto that node if it
-        is the same.
-        """
+    def run(self) -> Optional[list[tuple]]:
+        """Search; returns the success configurations, each a (stack,
+        offset, repair node) triple, or None when the search fails: no
+        success was found, or the deadline passed."""
         act = self.act
         tok_ids = self.tok_ids
         n_shifts = self.params.n_shifts
-        closed = self.closed
+        best = self.best
         monotonic = time.monotonic
         cost = 0
         while cost < len(self.todo):
@@ -292,23 +286,14 @@ class _Search:
             while bucket:
                 if monotonic() > self.deadline:
                     return None
-                key, rm = bucket.popitem()
+                key = bucket.pop()
                 stack, offset, tail, after_delete = key[:4]
                 if act[stack.value][tok_ids[offset]] == ACCEPT_CELL or tail >= n_shifts:
-                    self._record_success(cost, stack, offset, rm)
-                    continue  # successes are not expanded further
-                if closed is not None:
-                    seen = closed.get(key)
-                    if seen is not None:
-                        # Expanded already: a costlier copy cannot reach
-                        # the minimum, one of the same cost is grafted.
-                        old_cost, old = seen
-                        if (old_cost == cost and old is not rm
-                                and old is not None and rm is not None):
-                            old.add_merged(rm)
-                            self.merges += 1
-                        continue
-                    closed[key] = (cost, rm)
+                    # Successes are not expanded.  One that comes back is
+                    # queued again, so it is recorded by its own main path.
+                    self._record_success(cost, stack, offset, best.pop(key)[1])
+                    continue
+                rm = best[key][1]
                 self._zero_cost_moves(cost, rm, stack, offset, tail, after_delete)
                 expanded.append((rm, stack, offset, after_delete))
             if self.c_max is not None:
@@ -322,14 +307,14 @@ class _Search:
                     return None
                 self._edit_moves(cost, rm, stack, offset, after_delete)
             cost += 1
-        if not self.recorded:
-            return None
-        configs = list(self.recorded.values())
-        kept = configs if keep is None else keep(configs)
-        if kept is None:
-            return None  # the budget ran out while ranking
+        return list(self.recorded.values()) or None
+
+    def sequences(self, configs: list[tuple]) -> Optional[list[tuple[int, ...]]]:
+        """The distinct non-empty sequences reaching ``configs`` (from
+        ``run``), trailing shifts pruned, in discovery order; None once the
+        deadline passes."""
         seqs: dict[tuple[int, ...], None] = {}
-        for _, _, rm in kept:
+        for _, _, rm in configs:
             raws = _expand(rm, self.deadline)
             if raws is None:
                 return None
@@ -339,7 +324,7 @@ class _Search:
                     end -= 1
                 if end:
                     seqs[raw[:end]] = None
-        return self.c_max, list(seqs), len(configs), self.merges
+        return list(seqs)
 
     def _record_success(self, cost: int, stack: Cactus, offset: int,
                         rm: Optional[_RepairNode]) -> None:
@@ -439,22 +424,20 @@ def repair_search(
     """Full pipeline: search, rank, order, decode.  None means Fail."""
     params = params or RecoveryParams()
     search = _Search(table, stack, tok_ids, offset, params, budget_s, shift_style, merge)
-
-    def rank(configs: list[tuple]) -> Optional[list[tuple]]:
-        # Keep the configurations that parse furthest ahead (or, reversed,
-        # the least far); None once the budget runs out.
-        dists = []
-        for stk, off, _ in configs:
-            if time.monotonic() > search.deadline:
-                return None
-            dists.append(_parse_distance(table, stk, off, tok_ids, params.n_try))
-        best = min(dists) if rank_reversed else max(dists)
-        return [c for c, d in zip(configs, dists) if d == best]
-
-    found = search.run(rank)
-    if found is None or not found[1]:
+    configs = search.run()
+    if configs is None:
         return None
-    cost, ordered, n_configs, merges = found
+    # Keep the configurations that parse furthest ahead (or, reversed, the
+    # least far).
+    dists = []
+    for stk, off, _ in configs:
+        if time.monotonic() > search.deadline:
+            return None
+        dists.append(_parse_distance(table, stk, off, tok_ids, params.n_try))
+    best = min(dists) if rank_reversed else max(dists)
+    ordered = search.sequences([c for c, d in zip(configs, dists) if d == best])
+    if not ordered:
+        return None
 
     # Insert codes only: a grammar built without parse_grammar's checks
     # could name EOF, whose index is the delete code.
@@ -469,7 +452,7 @@ def repair_search(
     else:
         ordered.sort(key=has_avoided)  # stable: only the avoid split moves
     sequences = [list(_decode(table, s)) for s in ordered]
-    return SearchOutcome(cost, sequences, sequences[0], n_configs, merges)
+    return SearchOutcome(search.c_max, sequences, sequences[0], len(configs), search.merges)
 
 
 def min_repair_sequences(
@@ -485,11 +468,12 @@ def min_repair_sequences(
 ) -> Optional[RawSearch]:
     """The complete pre-ranking set of minimum-cost repair sequences."""
     params = params or RecoveryParams()
-    found = _Search(table, stack, tok_ids, offset, params, budget_s, shift_style, merge).run()
-    if found is None:
+    search = _Search(table, stack, tok_ids, offset, params, budget_s, shift_style, merge)
+    configs = search.run()
+    seqs = None if configs is None else search.sequences(configs)
+    if seqs is None:
         return None
-    cost, seqs, n_configs, merges = found
-    return RawSearch(cost, {_decode(table, s) for s in seqs}, n_configs, merges)
+    return RawSearch(search.c_max, {_decode(table, s) for s in seqs}, len(configs), search.merges)
 
 
 # ---------------------------------------------------------------------------

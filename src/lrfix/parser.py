@@ -14,7 +14,8 @@ What happens at an error cell is delegated to a *recoverer*:
   best-ranked one so the parse can continue.
 
 Any other name raises ``ValueError`` before a token is read, and so does
-a token whose type is not a terminal of the grammar.
+a token whose type is not a terminal of the grammar, or a token list that
+does not end with exactly one end-of-input token.
 
 All recoverers share one wall-clock budget per file: the time spent inside
 recovery (not ordinary parsing) is accumulated, and once it exceeds
@@ -318,6 +319,11 @@ def parse(
         tok_ids = [table.token_index[t.type] for t in toks]
     except KeyError as e:
         raise ValueError(f"token type {e.args[0]!r} is not a terminal of the grammar") from None
+    if tok_ids.count(table.eof) != 1 or tok_ids[-1] != table.eof:
+        raise ValueError(
+            "the tokens must end with exactly one end-of-input token "
+            f"{table.tokens[table.eof]!r}"
+        )
     lines = LineIndex(src)
 
     stack = [0]

@@ -97,6 +97,16 @@ def test_missing_files_exit_two(argv, capsys):
     assert "lrfix:" in out.err
 
 
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):
+    src = tmp_path / "x.txt"
+    src.write_bytes(b"1 + \xff\xfe 2")
+    code = main([CALC_L, CALC_Y, str(src)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith(f"lrfix: {src}: not UTF-8")
+
+
 def test_bad_grammar_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "g.y"
     bad.write_text("%%\nS: Undefined;")

@@ -604,29 +604,29 @@ GOLDEN_MERGES = {
     ("mini_java_bad", "style2"): 0,
     ("mini_java_bad", "style3"): 1,
     ("mini_java_bad", "unmerged"): 0,
-    ("clike_open_paren", "ranked"): 46,
-    ("clike_open_paren", "deterministic"): 46,
-    ("clike_open_paren", "style1"): 46,
-    ("clike_open_paren", "style2"): 46,
-    ("clike_open_paren", "style3"): 46,
+    ("clike_open_paren", "ranked"): 44,
+    ("clike_open_paren", "deterministic"): 44,
+    ("clike_open_paren", "style1"): 44,
+    ("clike_open_paren", "style2"): 44,
+    ("clike_open_paren", "style3"): 44,
     ("clike_open_paren", "unmerged"): 0,
-    ("clike_if_assign", "ranked"): 374,
-    ("clike_if_assign", "deterministic"): 374,
-    ("clike_if_assign", "style1"): 373,
-    ("clike_if_assign", "style2"): 373,
-    ("clike_if_assign", "style3"): 374,
+    ("clike_if_assign", "ranked"): 147,
+    ("clike_if_assign", "deterministic"): 147,
+    ("clike_if_assign", "style1"): 146,
+    ("clike_if_assign", "style2"): 146,
+    ("clike_if_assign", "style3"): 147,
     ("clike_if_assign", "unmerged"): 0,
-    ("clike_closed_paren", "ranked"): 57,
-    ("clike_closed_paren", "deterministic"): 57,
-    ("clike_closed_paren", "style1"): 53,
-    ("clike_closed_paren", "style2"): 53,
-    ("clike_closed_paren", "style3"): 57,
+    ("clike_closed_paren", "ranked"): 55,
+    ("clike_closed_paren", "deterministic"): 55,
+    ("clike_closed_paren", "style1"): 51,
+    ("clike_closed_paren", "style2"): 51,
+    ("clike_closed_paren", "style3"): 55,
     ("clike_closed_paren", "unmerged"): 0,
-    ("clike_three_ids", "ranked"): 429,
-    ("clike_three_ids", "deterministic"): 429,
-    ("clike_three_ids", "style1"): 208,
-    ("clike_three_ids", "style2"): 208,
-    ("clike_three_ids", "style3"): 429,
+    ("clike_three_ids", "ranked"): 406,
+    ("clike_three_ids", "deterministic"): 406,
+    ("clike_three_ids", "style1"): 185,
+    ("clike_three_ids", "style2"): 185,
+    ("clike_three_ids", "style3"): 406,
     ("clike_three_ids", "unmerged"): 0,
     ("calc_bad", "weighted_deterministic"): 2,
     ("calc_bad", "weighted_style3"): 2,
@@ -634,8 +634,8 @@ GOLDEN_MERGES = {
     ("calc_double_plus", "weighted_style3"): 0,
     ("clike_open_paren", "weighted_deterministic"): 0,
     ("clike_open_paren", "weighted_style3"): 0,
-    ("clike_if_assign", "weighted_deterministic"): 138,
-    ("clike_if_assign", "weighted_style3"): 138,
+    ("clike_if_assign", "weighted_deterministic"): 1,
+    ("clike_if_assign", "weighted_style3"): 1,
 }
 
 
@@ -678,9 +678,9 @@ def test_no_edits_are_built_at_the_minimum_cost(name, mode, monkeypatch):
 
 @pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
 def test_each_configuration_is_expanded_once(name, mode, monkeypatch):
-    # A configuration that comes back after it was expanded is dropped
-    # (from a costlier bucket) or grafted onto the expanded one (from the
-    # same bucket), so no search configuration gets its moves twice.
+    # A configuration that comes back is dropped (at a higher cost) or
+    # grafted onto its first arrival (at the same cost), so no search
+    # configuration gets its moves twice.
     keys = []
     zero_cost_moves = cpctplus._Search._zero_cost_moves
 
@@ -692,6 +692,40 @@ def test_each_configuration_is_expanded_once(name, mode, monkeypatch):
     monkeypatch.setattr(cpctplus._Search, "_zero_cost_moves", spy)
     search_outcome(name, mode)
     assert keys and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_no_configuration_arrives_cheaper_than_at_first(name, mode, monkeypatch):
+    # The search queues a configuration only on its first arrival and has
+    # no way to queue it again more cheaply, so a later arrival must never
+    # cost less than the first one did.
+    first = {}
+    later = []
+    add = cpctplus._Search._add
+
+    def spy(self, cost, rm, stack, offset, tail, after_delete):
+        key = (stack, offset, tail, after_delete)
+        key = key if self.merge else key + (rm,)
+        if key in first:
+            later.append((first[key], cost))
+        else:
+            first[key] = cost
+        return add(self, cost, rm, stack, offset, tail, after_delete)
+
+    monkeypatch.setattr(cpctplus._Search, "_add", spy)
+    search_outcome(name, mode)
+    assert first
+    assert all(cost >= first_cost for first_cost, cost in later)
+
+
+@pytest.mark.parametrize("name", sorted(CLIKE_PROGRAMS))
+def test_weighted_merging_does_not_change_the_answer(name):
+    t, stack, ids, idx = golden_point(name)
+    params = RecoveryParams(insert_cost=weighted_cost)
+    plain = min_repair_sequences(t, stack, ids, idx, params, budget_s=60.0, merge=False)
+    merged = min_repair_sequences(t, stack, ids, idx, params, budget_s=60.0, merge=True)
+    assert plain.cost == merged.cost
+    assert plain.sequences == merged.sequences
 
 
 @pytest.mark.parametrize("name,mode", GOLDEN_POINTS)

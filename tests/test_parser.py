@@ -194,6 +194,26 @@ def test_token_the_grammar_lacks_is_a_value_error():
             parse(table_of("calc"), spec.lex(src), src, recoverer=recoverer)
 
 
+@pytest.mark.parametrize("recoverer", RECOVERERS)
+def test_tokens_without_end_of_input_are_a_value_error(recoverer):
+    src = "1 + 2"
+    toks = toks_of("calc", src)[:-1]
+    with pytest.raises(ValueError, match="end-of-input"):
+        parse(table_of("calc"), toks, src, recoverer=recoverer)
+    with pytest.raises(ValueError, match="end-of-input"):
+        parse(table_of("calc"), [], "", recoverer=recoverer)
+
+
+@pytest.mark.parametrize("recoverer", RECOVERERS)
+def test_end_of_input_inside_the_tokens_is_a_value_error(recoverer):
+    # An early end-of-input token would accept "1" and drop "+ 2" unseen.
+    src = "1 $ + 2"
+    toks = toks_of("calc", "1   + 2")
+    toks.insert(1, Token("$", 2, 3))
+    with pytest.raises(ValueError, match="end-of-input"):
+        parse(table_of("calc"), toks, src, recoverer=recoverer)
+
+
 def test_node_repr_is_compact():
     n = Node("Expr", [])
     assert "Expr" in repr(n)
