@@ -16,15 +16,16 @@ just-deleted flag — are explored once: one table maps that compatibility
 tuple to the cost and repair node of its first arrival.  A later arrival
 at the same cost is grafted onto that node as a parent-pointer DAG, so
 every sequence can still be reported even though only one configuration
-is expanded.  A later arrival at a higher cost is dropped: its future is
+is expanded; a success stays in the table, so a later arrival at it is
+grafted too.  A later arrival at a higher cost is dropped: its future is
 the first arrival's, so each of its completions costs more than one the
 search already reaches, and none can be of minimum cost.  No arrival is
 ever cheaper than the first, because the tuple fixes the cost of the
 move that reaches it (a shift or the accept check is free, a delete
 costs 1, and an insert costs what the token entering the top state
 does), buckets drain in cost order, and a bucket's edits are built
-before the next one drains.  Without merging the repair node joins the
-tuple, so no two paths are ever compatible.
+before the next one drains.  Without merging each path is a
+configuration of its own, so none arrives twice and no table is kept.
 
 A popped configuration first gets only its zero-cost moves (shifts and
 reductions), which stay in its bucket.  Every edit costs at least 1 and
@@ -101,22 +102,21 @@ class SearchOutcome:
     cost: int
     sequences: list[list[Repair]]   # ranked; trailing shifts pruned
     applied: list[Repair]           # == sequences[0]
-    success_configs: int            # before ranking (see RawSearch)
-    merges: int                     # made before the search stopped (see RawSearch)
+    success_configs: int            # distinct, before ranking (see RawSearch)
+    merges: int                     # grafts before the search stopped (see RawSearch)
 
 
 @dataclass
 class RawSearch:
     """Pre-ranking view of a search: everything at minimum cost.
 
-    ``success_configs`` counts the distinct (input offset, main-path
-    repairs) endpoints that succeeded; paths grafted onto another
-    configuration reach no endpoint of their own.  ``merges`` counts the
-    paths grafted onto the first arrival at the same configuration and
-    cost until the search stopped; costlier arrivals are dropped, not
-    counted.  A bucket's edits are built only after it drains without a
-    success, so the minimum-cost bucket's edits, and the merges they would
-    make, never happen.
+    ``success_configs`` counts the distinct minimum-cost success
+    configurations; paths grafted onto a configuration reach none of their
+    own.  ``merges`` counts the paths grafted onto the first arrival at the
+    same configuration and cost, successes included, until the search
+    stopped; costlier arrivals are dropped, not counted.  A bucket's edits
+    are built only after it drains without a success, so the minimum-cost
+    bucket's edits, and the merges they would make, never happen.
     """
 
     cost: int
@@ -159,9 +159,8 @@ class _Search:
         # EOF is last and never inserted.
         self.insert_cost = [params.cost_of_insert(t) for t in table.tokens[: self.eof]]
 
-        self.todo: list[list] = []  # per cost: compatibility keys, popped last first
+        self.todo: list[list] = []  # per cost: (compatibility key, repair node), popped last first
         self.best: dict = {}  # compatibility key -> (cost, repair node) of its first arrival
-        self.recorded: dict = {}  # (offset, main chain) -> (stack, offset, repair node)
         self.merges = 0
         self.c_max: Optional[int] = None
         node = Cactus()
@@ -200,23 +199,20 @@ class _Search:
         drop one at a higher cost (none is ever lower: see the module
         docstring).  ``tail`` is the main path's trailing shift count,
         ``after_delete`` whether its last repair was a delete.  Without
-        merging, the repair node joins the key, so no two paths are ever
-        equal."""
+        merging no path ever arrives again, so nothing is looked up."""
+        key = (stack, offset, tail, after_delete)
         if self.merge:
-            key = (stack, offset, tail, after_delete)
-        else:
-            key = (stack, offset, tail, after_delete, rm)
-        seen = self.best.get(key)
-        if seen is None:
+            seen = self.best.get(key)
+            if seen is not None:
+                old = seen[1]
+                if seen[0] == cost and old is not rm and old is not None and rm is not None:
+                    old.add_merged(rm)
+                    self.merges += 1
+                return
             self.best[key] = (cost, rm)
-            while len(self.todo) <= cost:
-                self.todo.append([])
-            self.todo[cost].append(key)
-        elif seen[0] == cost:
-            old = seen[1]
-            if old is not rm and old is not None and rm is not None:
-                old.add_merged(rm)
-                self.merges += 1
+        while len(self.todo) <= cost:
+            self.todo.append([])
+        self.todo[cost].append((key, rm))
 
     # -- neighbour generation -----------------------------------------------------
 
@@ -277,8 +273,8 @@ class _Search:
         act = self.act
         tok_ids = self.tok_ids
         n_shifts = self.params.n_shifts
-        best = self.best
         monotonic = time.monotonic
+        successes = []
         cost = 0
         while cost < len(self.todo):
             bucket = self.todo[cost]
@@ -286,18 +282,19 @@ class _Search:
             while bucket:
                 if monotonic() > self.deadline:
                     return None
-                key = bucket.pop()
-                stack, offset, tail, after_delete = key[:4]
+                (stack, offset, tail, after_delete), rm = bucket.pop()
                 if act[stack.value][tok_ids[offset]] == ACCEPT_CELL or tail >= n_shifts:
-                    # Successes are not expanded.  One that comes back is
-                    # queued again, so it is recorded by its own main path.
-                    self._record_success(cost, stack, offset, best.pop(key)[1])
+                    # Successes are not expanded; one reached again is
+                    # grafted onto ``rm`` like any other configuration.
+                    successes.append((stack, offset, rm))
+                    if self.c_max is None:
+                        self.c_max = cost
+                        del self.todo[cost + 1 :]
                     continue
-                rm = best[key][1]
                 self._zero_cost_moves(cost, rm, stack, offset, tail, after_delete)
                 expanded.append((rm, stack, offset, after_delete))
-            if self.c_max is not None:
-                break
+            if successes:
+                return successes
             # The bucket drained without a success, so its edits are
             # needed after all.  They land only in costlier buckets, so
             # building them now, in pop order, fills those buckets exactly
@@ -307,7 +304,7 @@ class _Search:
                     return None
                 self._edit_moves(cost, rm, stack, offset, after_delete)
             cost += 1
-        return list(self.recorded.values()) or None
+        return None
 
     def sequences(self, configs: list[tuple]) -> Optional[list[tuple[int, ...]]]:
         """The distinct non-empty sequences reaching ``configs`` (from
@@ -326,28 +323,9 @@ class _Search:
                     seqs[raw[:end]] = None
         return list(seqs)
 
-    def _record_success(self, cost: int, stack: Cactus, offset: int,
-                        rm: Optional[_RepairNode]) -> None:
-        old = self.recorded.setdefault((offset, _main_chain(rm)), (stack, offset, rm))[2]
-        if old is not rm and old is not None and rm is not None:
-            old.add_merged(rm)
-        if self.c_max is None:
-            self.c_max = cost
-            del self.todo[cost + 1 :]
-
 
 # ---------------------------------------------------------------------------
 # Sequence extraction.
-
-
-def _main_chain(rm) -> tuple[int, ...]:
-    out = []
-    node = rm
-    while node is not None:
-        out.append(node.repair)
-        node = node.parent
-    out.reverse()
-    return tuple(out)
 
 
 def _expand(rm, deadline: float) -> Optional[list[tuple[int, ...]]]:
@@ -493,10 +471,16 @@ def oracle_min_repairs(
     *,
     n_shifts: int = 3,
     cost_bound: int = 12,
+    insert_cost: Optional[list[int]] = None,
 ) -> Optional[tuple[int, set[tuple[Repair, ...]]]]:
+    """The minimum cost up to ``cost_bound`` and every sequence of that
+    cost, or None.  ``insert_cost[t]`` prices inserting terminal ``t``
+    (default 1); a delete costs 1."""
     act, goto, arity, prule = table.act, table.goto, table.prod_arity, table.prod_rule
     eof = table.eof
     n_terms = len(table.tokens) - 1
+    if insert_cost is None:
+        insert_cost = [1] * n_terms
 
     def reduce_all(stk: tuple[int, ...], t: int):
         stk_l = list(stk)
@@ -547,7 +531,7 @@ def oracle_min_repairs(
                     stk2, cell2 = reduce_all(stk, t)
                     if cell2 & 3 == 2:
                         stk2.append(cell2 >> 2)
-                        emit(cost + 1, (tuple(stk2), off, reps + (("i", t),)))
+                        emit(cost + insert_cost[t], (tuple(stk2), off, reps + (("i", t),)))
             if tok_ids[off] != eof:
                 emit(cost + 1, (stk, off + 1, reps + ("d",)))
             if cell & 3 == 2:
