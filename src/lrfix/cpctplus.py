@@ -69,7 +69,9 @@ from typing import Optional
 
 from .cactus import Cactus
 from .lrtable import ACCEPT_CELL, StateTable
-from .parser import ParserInternalError, RecoveryParams, Repair, REDUCE_CHAIN_LIMIT, drive
+from .parser import (
+    ParserInternalError, RecoveryParams, ReduceChainError, Repair, REDUCE_CHAIN_LIMIT, drive,
+)
 
 # Repair codes, kept as small ints in the hot path and numbered so that
 # integer order is the canonical order (inserts by token, then delete,
@@ -287,13 +289,12 @@ class _Search:
                     # Successes are not expanded; one reached again is
                     # grafted onto ``rm`` like any other configuration.
                     successes.append((stack, offset, rm))
-                    if self.c_max is None:
-                        self.c_max = cost
-                        del self.todo[cost + 1 :]
                     continue
                 self._zero_cost_moves(cost, rm, stack, offset, tail, after_delete)
                 expanded.append((rm, stack, offset, after_delete))
             if successes:
+                self.c_max = cost
+                self.todo.clear()  # the costlier buckets
                 return successes
             # The bucket drained without a success, so its edits are
             # needed after all.  They land only in costlier buckets, so
@@ -378,8 +379,13 @@ def _decode(table: StateTable, seq: tuple[int, ...]) -> tuple[Repair, ...]:
 def _parse_distance(table: StateTable, stack: Cactus, offset: int, tok_ids: list[int],
                     n_try: int) -> int:
     """Input tokens the parser can shift from ``stack`` at ``offset``, up to
-    ``n_try``; accept counts as all."""
-    off, accepted = drive(table, stack.as_list(), tok_ids, offset, offset + n_try)
+    ``n_try``; accept counts as all.  A reduce chain that never ends (a
+    cyclic grammar) stops the parse at its token, as an error would: the
+    repairs are found by then, and ranking only orders them."""
+    try:
+        off, accepted = drive(table, stack.as_list(), tok_ids, offset, offset + n_try)
+    except ReduceChainError as e:
+        off, accepted = e.at, False
     return n_try if accepted else off - offset
 
 

@@ -44,6 +44,15 @@ class ParserInternalError(Exception):
     pass
 
 
+class ReduceChainError(ParserInternalError):
+    """``drive`` ran past ``REDUCE_CHAIN_LIMIT`` reductions under the token
+    at index ``at`` without shifting it."""
+
+    def __init__(self, at: int):
+        super().__init__("reduce chain did not terminate")
+        self.at = at
+
+
 # ---------------------------------------------------------------------------
 # Repairs.
 
@@ -234,7 +243,7 @@ def drive(
             stack.append(g)
             chain += 1
             if chain > REDUCE_CHAIN_LIMIT:
-                raise ParserInternalError("reduce chain did not terminate")
+                raise ReduceChainError(idx)
         else:
             return idx, cell == ACCEPT_CELL
     return idx, False

@@ -22,6 +22,8 @@ from lrfix import (
     repair_search,
 )
 from lrfix import cpctplus
+from lrfix.cactus import Cactus
+from lrfix.lrtable import ACCEPT_CELL
 from lrfix.parser import RECOVERERS, drive
 
 from conftest import INPUTS, first_error, grammar_of, small_grammars, synth_toks, table_of, toks_of
@@ -183,29 +185,43 @@ class JumpingClock:
 
 @pytest.mark.parametrize("name", ["calc_bad", "clike_three_ids"])
 def test_the_budget_bounds_ranking_and_expansion(name, monkeypatch):
-    # The clock passes the deadline at the first expansion after the first
-    # success, so whatever work is left (the rest of the bucket, ranking or
-    # expanding the sequences) must give up.  Then it passes again during
-    # ranking, and as the repair DAG is expanded.
+    # The clock passes the deadline at the first expansion after a success
+    # left its bucket, so whatever work is left (the rest of the bucket,
+    # ranking or expanding the sequences) must give up.  Then it passes
+    # again during ranking, and as the repair DAG is expanded.
     t, stack, ids, idx = golden_point(name)
+    n_shifts = RecoveryParams().n_shifts
     clock = JumpingClock()
     monkeypatch.setattr(cpctplus, "time", clock)
+    add = cpctplus._Search._add
     zero_cost_moves = cpctplus._Search._zero_cost_moves
+    queued = []  # (cost, bucket entry) of each success as it is queued
     jumps = []
     late = []
 
-    def jump_after_a_success(self, *args):
+    def note_successes(self, cost, rm, stack, offset, tail, after_delete):
+        n = len(self.todo[cost]) if cost < len(self.todo) else 0
+        add(self, cost, rm, stack, offset, tail, after_delete)
+        if len(self.todo[cost]) > n and (
+            t.act[stack.value][ids[offset]] == ACCEPT_CELL or tail >= n_shifts
+        ):
+            queued.append((cost, self.todo[cost][-1]))
+
+    def jump_after_a_success(self, cost, *args):
+        bucket = self.todo[cost]
         if clock.now:
             late.append(args)
-        elif self.c_max is not None:
-            jumps.append(self.c_max)
+        elif any(c == cost and all(e is not x for x in bucket) for c, e in queued):
+            jumps.append(cost)
             clock.jump()
-        return zero_cost_moves(self, *args)
+        return zero_cost_moves(self, cost, *args)
 
     with monkeypatch.context() as m:
+        m.setattr(cpctplus._Search, "_add", note_successes)
         m.setattr(cpctplus._Search, "_zero_cost_moves", jump_after_a_success)
         assert repair_search(t, stack, ids, idx) is None
         clock.now = 0.0
+        queued.clear()
         assert min_repair_sequences(t, stack, ids, idx) is None
     assert len(jumps) == 2  # each search jumped mid-bucket ...
     assert not late  # ... and expanded nothing more
@@ -335,6 +351,25 @@ def test_no_repair_is_reported_that_does_not_replay(name):
     assert r.stats.costs == []
 
 
+@pytest.mark.parametrize("merge", [True, False])
+def test_ranking_stops_at_a_runaway_reduce_chain(merge):
+    # Deleting 'b' is the one cheapest repair.  The grammar is cyclic (A:
+    # A B with an empty B), so after the three 'a's the parse reduces
+    # forever at end of input.  Ranking parses on past the repair, counts
+    # that chain as where the parse stops, and still reports the repair;
+    # the parse that applies it then runs into the chain and raises.
+    t = build_tables(parse_grammar("%token a b c\n%%\nA: | A B;\nB: | a A;"), merge=merge)
+    toks = synth_toks(t, ["b", "a", "a", "a"])
+    ids = [t.token_index[x.type] for x in toks]
+    assert cpctplus._parse_distance(t, Cactus().push(0), 1, ids, 5) == 3
+    assert min_repair_sequences(t, [0], ids, 0).sequences == {(D,)}
+    assert oracle_min_repairs(t, [0], ids, 0) == (1, {(D,)})
+    out = repair_search(t, [0], ids, 0)
+    assert (out.cost, out.sequences) == (1, [[D]])
+    with pytest.raises(ParserInternalError, match="reduce chain did not terminate"):
+        parse(t, toks)
+
+
 calc_names = st.lists(st.sampled_from(["INT", "+", "*", "(", ")"]), min_size=1, max_size=4)
 
 
@@ -396,10 +431,7 @@ def test_search_equals_oracle_on_small_grammars(case, merge, merge_search, data)
     assert (raw.cost, raw.sequences) == found
     for seq in raw.sequences:
         assert replays(t, stack, ids, idx, seq, params.n_shifts), seq
-    try:
-        out = repair_search(t, stack, ids, idx, params, budget_s=5, merge=merge_search)
-    except ParserInternalError:
-        return  # ranking parses on past the repair, into a cyclic grammar's endless chain
+    out = repair_search(t, stack, ids, idx, params, budget_s=5, merge=merge_search)
     assert {tuple(seq) for seq in out.sequences} <= raw.sequences
 
 
