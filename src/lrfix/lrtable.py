@@ -1,15 +1,24 @@
 """LR(1) state graphs and action/goto tables.
 
 States are built in one worklist pass from full LR(1) items (production,
-dot position, and a lookahead set per kernel item).  Every successor
-kernel is looked up in one dict: by its core (the items without their
-lookaheads) by default, by the whole kernel with its lookaheads when
-``merge=False``.  It joins the first candidate that passes Pager's
-weak-compatibility test, i.e. a state whose cores coincide and whose merge
-cannot manufacture a conflict that neither side had.  Without merging the
-only candidate is an identical kernel, so every canonical LR(1) state stays
-distinct.  A state whose lookaheads grow is visited again, so the closure
-kept from its last visit is the closure of its final kernel.
+dot position, and a lookahead set per kernel item).  A lookahead set is an
+int bitmask with one bit per terminal; ``closure_of()`` and ``dump()``
+turn masks back into token names only when called.  Before the pass, each
+nonterminal B's closure is worked out once: every nonterminal whose
+productions it adds, the lookaheads those get whatever B's are, and
+whether B's own lookaheads reach them.  Closing a kernel is then one pass
+over its items, with no fixpoint, and the added items keep the order in
+which a breadth-first walk from the kernel meets them.
+
+Every successor kernel is looked up in one dict: by its core (the items
+without their lookaheads) by default, by the whole kernel with its
+lookaheads when ``merge=False``.  It joins the first candidate that passes
+Pager's weak-compatibility test, i.e. a state whose cores coincide and
+whose merge cannot manufacture a conflict that neither side had.  Without
+merging the only candidate is an identical kernel, so every canonical
+LR(1) state stays distinct.  A state whose lookaheads grow is still visited
+again, so the closure kept from its last visit is the closure of its final
+kernel.
 
 For a grammar whose canonical table has no conflicts, not even ones that
 binding levels settle, both modes accept exactly the same inputs and
@@ -29,12 +38,14 @@ consults declared binding levels (a later %left/%right/%nonassoc line
 binds tighter; at equal level %left reduces, %right shifts, %nonassoc
 turns the cell into an error), and otherwise shifts with a warning;
 reduce/reduce keeps the production declared earlier, with a warning.
+Warnings go to ``StateTable.conflicts``; each cell that binding levels
+settled goes to ``StateTable.resolved``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .grammar import EOF, Grammar, Production
 
@@ -84,8 +95,27 @@ class Conflict:
         )
 
 
-# (production, dot) -> lookaheads: a kernel or a closure under construction.
-_Items = dict[tuple[int, int], set[str]]
+@dataclass
+class Resolution:
+    """A shift/reduce conflict that binding levels settled."""
+
+    state: int
+    token: str
+    chosen: str        # "shift to N", the reduced production, or "error"
+    level: int         # the binding level that decided: the higher of the two
+
+
+# (production, dot) -> lookaheads as a bitmask over StateGraph.terminals:
+# a kernel or a closure.
+_Items = dict[tuple[int, int], int]
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _weakly_compatible(existing: _Items, incoming: _Items) -> bool:
@@ -117,93 +147,145 @@ class StateGraph:
         self.productions: list[Production] = list(grammar.productions)
         self.aug_index = len(self.productions)
         self.productions.append(Production(self.aug_index, AUG_RULE, (grammar.start,)))
+        # Bit i of a lookahead mask stands for terminals[i].
+        self.terminals: list[str] = list(grammar.token_decl_order) + [EOF]
         # Filled by _build:
-        self.states: list[dict[tuple[int, int], frozenset[str]]] = []  # kernels
+        self.states: list[_Items] = []  # kernels
         self.edges: list[dict[str, int]] = []
-        self._closures: list[dict[tuple[int, int], frozenset[str]]] = []
+        self._closures: list[_Items] = []
         self._build()
 
     # -- grammar analysis ---------------------------------------------------
 
-    def _compute_first(self) -> tuple[dict[str, set[str]], set[str]]:
+    def _analyse(self) -> None:
+        """Per-grammar tables that make a closure one pass over its kernel.
+
+        ``_after[item]`` is the symbol after the dot and the item that
+        shifting it leads to.  ``_expands[item]``, for an item whose dot
+        precedes a nonterminal B, is B with FIRST and nullability of what
+        follows B.  ``_reach[B]`` lists every nonterminal C whose
+        productions B's closure holds, with the lookaheads C gets there
+        whatever B's own are, and whether B's own lookaheads reach C too.
+        """
         g = self.grammar
-        first: dict[str, set[str]] = {r: set() for r in g.rules}
+        bit = {t: 1 << i for i, t in enumerate(self.terminals)}
+        first = dict.fromkeys(g.rules, 0)
         nullable: set[str] = set()
         changed = True
         while changed:
             changed = False
             for p in g.productions:
                 f = first[p.lhs]
-                before = (len(f), p.lhs in nullable)
                 all_nullable = True
                 for sym in p.rhs:
                     if g.is_token(sym):
-                        f.add(sym)
+                        f |= bit[sym]
                         all_nullable = False
                         break
                     f |= first[sym]
                     if sym not in nullable:
                         all_nullable = False
                         break
-                if all_nullable:
-                    nullable.add(p.lhs)
-                if (len(f), p.lhs in nullable) != before:
+                if f != first[p.lhs]:
+                    first[p.lhs] = f
                     changed = True
-        return first, nullable
+                if all_nullable and p.lhs not in nullable:
+                    nullable.add(p.lhs)
+                    changed = True
 
-    def _first_of(self, seq: tuple[str, ...], cont: frozenset[str]) -> frozenset[str]:
-        """FIRST of ``seq`` followed by any token in ``cont``."""
-        out: set[str] = set()
-        for sym in seq:
-            if self.grammar.is_token(sym):
-                out.add(sym)
-                return frozenset(out)
-            out |= self._first[sym]
-            if sym not in self._nullable:
-                return frozenset(out)
-        return frozenset(out | cont)
+        self._after: dict[tuple[int, int], tuple[str, tuple[int, int]]] = {}
+        self._expands: dict[tuple[int, int], tuple[str, int, bool]] = {}
+        for p in self.productions:
+            # FIRST and nullability of rhs[dot:], from the right.
+            tail_first, tail_nullable = 0, True
+            nxt = (p.index, len(p.rhs))
+            for dot in range(len(p.rhs) - 1, -1, -1):
+                item, sym = (p.index, dot), p.rhs[dot]
+                self._after[item] = (sym, nxt)
+                if g.is_token(sym):
+                    tail_first, tail_nullable = bit[sym], False
+                else:
+                    self._expands[item] = (sym, tail_first, tail_nullable)
+                    if sym in nullable:
+                        tail_first |= first[sym]
+                    else:
+                        tail_first, tail_nullable = first[sym], False
+                nxt = item
+
+        # The closure of B alone, once per grammar: a placeholder bit above
+        # every terminal stands for B's own lookaheads.
+        own = 1 << len(self.terminals)
+        self._reach: dict[str, tuple[tuple[str, int, bool], ...]] = {}
+        for b in g.rules:
+            las = {b: own}
+            work = [b]
+            while work:
+                c = work.pop()
+                for q in g.rules[c]:
+                    step = self._expands.get((q, 0))
+                    if step is None:
+                        continue
+                    d, f, tail_nullable = step
+                    cont = f | las[c] if tail_nullable else f
+                    old = las.get(d)
+                    if old is None or cont & ~old:
+                        las[d] = (old or 0) | cont
+                        work.append(d)
+            self._reach[b] = tuple((c, m & ~own, bool(m & own)) for c, m in las.items())
+        # For closure item order: each nonterminal's productions as items at
+        # dot 0, and the nonterminals those items expand, in production order.
+        self._starts = {r: tuple((q, 0) for q in qs) for r, qs in g.rules.items()}
+        self._heads = {
+            r: tuple(self._expands[item][0] for item in items if item in self._expands)
+            for r, items in self._starts.items()
+        }
 
     # -- state construction ---------------------------------------------------
 
     def _closure(self, kernel: _Items) -> _Items:
-        g = self.grammar
-        items: _Items = {k: set(v) for k, v in kernel.items()}
-        work = deque(items)
-        while work:
-            prod_i, dot = work.popleft()
-            prod = self.productions[prod_i]
-            if dot >= len(prod.rhs):
-                continue
-            sym = prod.rhs[dot]
-            if g.is_token(sym):
-                continue
-            cont = self._first_of(prod.rhs[dot + 1 :], frozenset(items[(prod_i, dot)]))
-            for q in g.rules[sym]:
-                key = (q, 0)
-                cur = items.get(key)
-                if cur is None:
-                    items[key] = set(cont)
-                    work.append(key)
-                elif not cont <= cur:
-                    cur |= cont
-                    work.append(key)
+        """The kernel's items, then every production its closure adds.
+
+        The added items come in the order a breadth-first walk from the
+        kernel meets them, and items of one nonterminal share its lookaheads.
+        """
+        las: dict[str, int] = {}
+        order: list[str] = []
+        for item, la in kernel.items():
+            step = self._expands.get(item)
+            if step is not None:
+                b, f, tail_nullable = step
+                order.append(b)
+                cont = f | la if tail_nullable else f
+                for c, spont, own in self._reach[b]:
+                    las[c] = las.get(c, 0) | (spont | cont if own else spont)
+        order = list(dict.fromkeys(order))
+        seen = set(order)
+        for c in order:
+            for d in self._heads[c]:
+                if d not in seen:
+                    seen.add(d)
+                    order.append(d)
+        items = dict(kernel)
+        for c in order:
+            la = las[c]
+            for item in self._starts[c]:
+                items[item] = la
         return items
 
     def _build(self) -> None:
-        self._first, self._nullable = self._compute_first()
+        self._analyse()
 
         def key_of(kernel: _Items) -> frozenset:
-            if self.merged:
-                return frozenset(kernel)
-            return frozenset((item, frozenset(las)) for item, las in kernel.items())
+            return frozenset(kernel) if self.merged else frozenset(kernel.items())
 
-        start = {(self.aug_index, 0): {EOF}}
+        start = {(self.aug_index, 0): 1 << (len(self.terminals) - 1)}  # EOF's bit
         kernels: list[_Items] = [start]
         closures: list[_Items] = [{}]
         edges: list[dict[str, int]] = [{}]
         lookup: dict[frozenset, list[int]] = {key_of(start): [0]}
         work = deque([0])
         queued = {0}
+        after = self._after
 
         while work:
             i = work.popleft()
@@ -213,19 +295,21 @@ class StateGraph:
             closures[i] = closure = self._closure(kernels[i])
             # Group closure items by the symbol after the dot.
             moves: dict[str, _Items] = {}
-            for (prod_i, dot), las in closure.items():
-                rhs = self.productions[prod_i].rhs
-                if dot < len(rhs):
-                    moves.setdefault(rhs[dot], {}).setdefault((prod_i, dot + 1), set()).update(las)
+            for item, las in closure.items():
+                step = after.get(item)
+                if step is not None:
+                    sym, nxt = step
+                    moves.setdefault(sym, {})[nxt] = las
             edges[i] = {}
             for sym, kernel in moves.items():
                 candidates = lookup.setdefault(key_of(kernel), [])
                 for j in candidates:
-                    if _weakly_compatible(kernels[j], kernel):
+                    existing = kernels[j]
+                    if _weakly_compatible(existing, kernel):
                         grew = False
                         for item, las in kernel.items():
-                            if not las <= kernels[j][item]:
-                                kernels[j][item] |= las
+                            if las & ~existing[item]:
+                                existing[item] |= las
                                 grew = True
                         break
                 else:
@@ -273,21 +357,21 @@ class StateGraph:
                     bfs.append(target)
 
         # ``order`` was filled in new-number order.
-        self.states = [
-            {item: frozenset(las) for item, las in kernels[old].items()} for old in order
-        ]
+        self.states = [kernels[old] for old in order]
         self.edges = [{sym: order[t] for sym, t in edges[old].items()} for old in order]
-        self._closures = [
-            {item: frozenset(las) for item, las in closures[old].items()} for old in order
-        ]
+        self._closures = [closures[old] for old in order]
 
     # -- inspection -----------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self.states)
 
+    def _names(self, las: int) -> frozenset[str]:
+        """The terminals in a lookahead mask."""
+        return frozenset(self.terminals[i] for i in _bits(las))
+
     def closure_of(self, state: int) -> dict[tuple[int, int], frozenset[str]]:
-        return self._closures[state]
+        return {item: self._names(las) for item, las in self._closures[state].items()}
 
     def item_str(self, item: tuple[int, int], las: frozenset[str]) -> str:
         prod_i, dot = item
@@ -305,7 +389,7 @@ class StateGraph:
             kernel = self.states[i]
             for item in sorted(closure):
                 mark = "" if item in kernel else "    "
-                lines.append(f"    {mark}{self.item_str(item, closure[item])}")
+                lines.append(f"    {mark}{self.item_str(item, self._names(closure[item]))}")
             for sym, t in sorted(self.edges[i].items(), key=lambda e: e[1]):
                 lines.append(f"  {sym} -> {t}")
         return "\n".join(lines) + "\n"
@@ -318,7 +402,7 @@ class StateTable:
         self.graph = graph
         g = graph.grammar
         self.grammar = g
-        self.tokens: list[str] = list(g.token_decl_order) + [EOF]
+        self.tokens: list[str] = list(graph.terminals)
         self.token_index: dict[str, int] = {t: i for i, t in enumerate(self.tokens)}
         self.eof = self.token_index[EOF]
         self.rule_names: list[str] = list(g.rules)
@@ -330,6 +414,7 @@ class StateTable:
         ]
         self.n_states = len(graph)
         self.conflicts: list[Conflict] = []
+        self.resolved: list[Resolution] = []
         self.act: list[list[int]] = []
         self.goto: list[list[int]] = []
         # Per state, the terminals other than EOF whose action is not an
@@ -356,15 +441,19 @@ class StateTable:
                 else:
                     shift_to[self.token_index[sym]] = t
             accept_on_eof = False
-            for (prod_i, dot), las in graph.closure_of(s).items():
+            for (prod_i, dot), las in graph._closures[s].items():
                 if dot != len(graph.productions[prod_i].rhs):
                     continue
                 if prod_i == graph.aug_index:
                     accept_on_eof = True
                     continue
-                for la in las:
-                    reduces.setdefault(self.token_index[la], []).append(prod_i)
-            for tok_i in range(n_tok):
+                for tok_i in _bits(las):  # bit i is self.tokens[i]
+                    reduces.setdefault(tok_i, []).append(prod_i)
+            # A token with no candidate keeps its error cell.
+            candidates = shift_to.keys() | reduces.keys()
+            if accept_on_eof:
+                candidates.add(self.eof)
+            for tok_i in sorted(candidates):
                 row[tok_i] = self._resolve(
                     s, tok_i, shift_to.get(tok_i), sorted(reduces.get(tok_i, ())),
                     accept_on_eof and tok_i == self.eof,
@@ -405,16 +494,15 @@ class StateTable:
         tok_prec = g.assoc.get(tok)
         prod_prec = g.production_prec(self.productions[chosen_red])
         if tok_prec is not None and prod_prec is not None:
-            if prod_prec[1] > tok_prec[1]:
-                return reduce_cell(chosen_red)
-            if prod_prec[1] < tok_prec[1]:
-                return shift_cell(shift)
-            kind = tok_prec[0]
-            if kind == "left":
-                return reduce_cell(chosen_red)
-            if kind == "right":
-                return shift_cell(shift)
-            return ERROR_CELL  # nonassoc at equal level: neither parse is right
+            (_, prod_level), (kind, tok_level) = prod_prec, tok_prec
+            if prod_level > tok_level or (prod_level == tok_level and kind == "left"):
+                cell, chosen = reduce_cell(chosen_red), str(self.productions[chosen_red])
+            elif prod_level < tok_level or kind == "right":
+                cell, chosen = shift_cell(shift), f"shift to {shift}"
+            else:  # nonassoc at equal level: neither parse is right
+                cell, chosen = ERROR_CELL, "error"
+            self.resolved.append(Resolution(state, tok, chosen, max(prod_level, tok_level)))
+            return cell
         self.conflicts.append(
             Conflict(
                 "shift/reduce", state, tok,

@@ -1,13 +1,15 @@
+import collections
 import dataclasses
 import functools
 import hashlib
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
 
-from lrfix import build_tables, parse, parse_grammar
-from lrfix.lrtable import ACCEPT_CELL, ERROR_CELL, cell_arg, cell_kind
+from lrfix import EOF, StateGraph, StateTable, build_tables, parse, parse_grammar
+from lrfix.lrtable import ACCEPT_CELL, ERROR_CELL, cell_arg, cell_kind, reduce_cell
 
 from conftest import FIXTURES, agreement_dfs, first_error, small_grammars, synth_toks, table_of
 
@@ -275,3 +277,214 @@ def test_merging_can_change_the_language_when_conflicts_are_resolved(src, text):
     tm, tc = build_tables(g), build_tables(g, merge=False)
     assert parse(tc, synth_toks(tc, text.split()), recoverer="none").success
     assert not parse(tm, synth_toks(tm, text.split()), recoverer="none").success
+
+
+def test_binding_levels_record_what_they_resolve():
+    g = parse_grammar("%left 'a'\n%%\nA: 'a' A 'a' | 'a' 'a';")
+    tm, tc = build_tables(g), build_tables(g, merge=False)
+    assert tm.conflicts == tc.conflicts == []
+    # %left reduces at equal level.  On the merged table this is the cell
+    # that makes it reject "a a a a".
+    assert [dataclasses.astuple(r) for r in tm.resolved] == [(3, "a", "A: a a", 1)]
+    assert [dataclasses.astuple(r) for r in tc.resolved] == [(5, "a", "A: a a", 1)]
+    assert tm.act[3][tm.token_index["a"]] == reduce_cell(1)
+
+
+def test_resolved_cells_name_the_deciding_level():
+    g = parse_grammar("%token NUM\n%left '+'\n%left '*'\n%%\nE: E '+' E | E '*' E | NUM;")
+    t = build_tables(g)
+    got = {(r.token, r.chosen, r.level) for r in t.resolved}
+    assert got == {
+        ("+", "E: E + E", 1),      # equal level, %left reduces
+        ("*", "shift to 4", 2),    # '*' binds tighter than E + E
+        ("+", "E: E * E", 2),      # E * E binds tighter than '+'
+        ("*", "E: E * E", 2),
+    }
+    nonassoc = build_tables(parse_grammar("%token NUM\n%nonassoc '+'\n%%\nE: E '+' E | NUM;"))
+    [r] = nonassoc.resolved
+    assert (r.token, r.chosen) == ("+", "error")
+    assert nonassoc.act[r.state][nonassoc.token_index["+"]] == ERROR_CELL
+
+
+# -- the bitmask builder against a set-based reference ---------------------------
+
+
+class ReferenceGraph(StateGraph):
+    """The builder as it was before lookaheads became bitmasks.
+
+    Each closure is a worklist fixpoint over sets of terminal names, with
+    FIRST of each item's tail computed as it is met.  Only renumbering is
+    shared with StateGraph: the finished kernels and closures are turned
+    into masks and handed to ``_finalize``.
+    """
+
+    def _compute_first(self):
+        g = self.grammar
+        first = {r: set() for r in g.rules}
+        nullable = set()
+        changed = True
+        while changed:
+            changed = False
+            for p in g.productions:
+                f = first[p.lhs]
+                before = (len(f), p.lhs in nullable)
+                all_nullable = True
+                for sym in p.rhs:
+                    if g.is_token(sym):
+                        f.add(sym)
+                        all_nullable = False
+                        break
+                    f |= first[sym]
+                    if sym not in nullable:
+                        all_nullable = False
+                        break
+                if all_nullable:
+                    nullable.add(p.lhs)
+                if (len(f), p.lhs in nullable) != before:
+                    changed = True
+        return first, nullable
+
+    def _first_of(self, seq, cont):
+        out = set()
+        for sym in seq:
+            if self.grammar.is_token(sym):
+                out.add(sym)
+                return frozenset(out)
+            out |= self._first[sym]
+            if sym not in self._nullable:
+                return frozenset(out)
+        return frozenset(out | cont)
+
+    def _closure(self, kernel):
+        g = self.grammar
+        items = {k: set(v) for k, v in kernel.items()}
+        work = collections.deque(items)
+        while work:
+            prod_i, dot = work.popleft()
+            prod = self.productions[prod_i]
+            if dot >= len(prod.rhs):
+                continue
+            sym = prod.rhs[dot]
+            if g.is_token(sym):
+                continue
+            cont = self._first_of(prod.rhs[dot + 1 :], frozenset(items[(prod_i, dot)]))
+            for q in g.rules[sym]:
+                key = (q, 0)
+                cur = items.get(key)
+                if cur is None:
+                    items[key] = set(cont)
+                    work.append(key)
+                elif not cont <= cur:
+                    cur |= cont
+                    work.append(key)
+        return items
+
+    def _build(self):
+        self._first, self._nullable = self._compute_first()
+
+        def key_of(kernel):
+            if self.merged:
+                return frozenset(kernel)
+            return frozenset((item, frozenset(las)) for item, las in kernel.items())
+
+        start = {(self.aug_index, 0): {EOF}}
+        kernels, closures, edges = [start], [{}], [{}]
+        lookup = {key_of(start): [0]}
+        work = collections.deque([0])
+        queued = {0}
+        while work:
+            i = work.popleft()
+            queued.discard(i)
+            closures[i] = closure = self._closure(kernels[i])
+            moves = {}
+            for (prod_i, dot), las in closure.items():
+                rhs = self.productions[prod_i].rhs
+                if dot < len(rhs):
+                    moves.setdefault(rhs[dot], {}).setdefault((prod_i, dot + 1), set()).update(las)
+            edges[i] = {}
+            for sym, kernel in moves.items():
+                candidates = lookup.setdefault(key_of(kernel), [])
+                for j in candidates:
+                    if weakly_compatible_sets(kernels[j], kernel):
+                        grew = False
+                        for item, las in kernel.items():
+                            if not las <= kernels[j][item]:
+                                kernels[j][item] |= las
+                                grew = True
+                        break
+                else:
+                    j = len(kernels)
+                    candidates.append(j)
+                    kernels.append(kernel)
+                    closures.append({})
+                    edges.append({})
+                    grew = True
+                if grew and j not in queued:
+                    queued.add(j)
+                    work.append(j)
+                edges[i][sym] = j
+
+        bit = {t: 1 << i for i, t in enumerate(self.terminals)}
+
+        def masks(items):
+            return {item: sum(bit[t] for t in las) for item, las in items.items()}
+
+        self._finalize([masks(k) for k in kernels], [masks(c) for c in closures], edges)
+
+
+def weakly_compatible_sets(existing, incoming):
+    items = list(incoming)
+    for a in range(len(items)):
+        for b in range(a + 1, len(items)):
+            c_a, c_b = incoming[items[a]], incoming[items[b]]
+            d_a, d_b = existing[items[a]], existing[items[b]]
+            if (c_a & d_b) or (c_b & d_a):
+                if not (c_a & c_b) and not (d_a & d_b):
+                    return False
+    return True
+
+
+def assert_same_tables(g, merge):
+    t = build_tables(g, merge=merge)
+    ref = StateTable(ReferenceGraph(g, merged=merge))
+    assert t.n_states == ref.n_states
+    assert t.act == ref.act
+    assert t.goto == ref.goto
+    assert [c.describe() for c in t.conflicts] == [c.describe() for c in ref.conflicts]
+    assert t.graph.dump() == ref.graph.dump()
+    # Closure item order decides which successor kernel meets Pager's test
+    # first, so it has to match too, not only the sorted dump.
+    for s in range(t.n_states):
+        assert list(t.graph.closure_of(s).items()) == list(ref.graph.closure_of(s).items())
+
+
+@pytest.mark.parametrize("merge", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(small_grammars())
+def test_bitmask_builder_matches_the_set_reference(merge, case):
+    assert_same_tables(case[0], merge)
+
+
+@pytest.mark.parametrize("stem", ["calc", "stmt", "mini_java", "clike"])
+@pytest.mark.parametrize("merge", [True, False])
+def test_bitmask_builder_matches_the_set_reference_on_fixtures(stem, merge):
+    g = pinned_table(stem, merge).grammar
+    assert_same_tables(g, merge)
+
+
+def test_canonical_clike_build_stays_small():
+    g = parse_grammar(CLIKE.read_text(encoding="utf-8"))
+    tracemalloc.start()
+    try:
+        t = build_tables(g, merge=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 26 MiB when lookaheads were sets of token names, about 1.2 MiB as masks.
+    assert peak < 6 * 2**20
+    for s in (0, t.n_states - 1):
+        closure = t.graph.closure_of(s)
+        assert closure
+        for las in closure.values():
+            assert isinstance(las, frozenset) and all(isinstance(x, str) for x in las)
+    assert t.graph.closure_of(0)[(t.graph.aug_index, 0)] == frozenset({"$"})
