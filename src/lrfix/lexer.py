@@ -5,21 +5,32 @@ then either a token name (bare or quoted) or a lone ``;`` meaning "match
 and discard".  Blank lines and lines starting with ``#`` are ignored.
 
 Tokenizing scans left to right, always taking the longest match; ties go
-to the earliest rule in the file.  Rules whose pattern is a plain literal
-(no regex metacharacter, and no backslash before a letter, digit or
-underscore) are matched by looking the next input character up in a
-table, and only the other rules run as regular expressions; the
-longest-match and earliest-rule semantics are the same either way.  Any
-stretch of input no rule matches raises :class:`LexError` — the file is
-rejected as a whole rather than guessed at.  A zero-width end-of-input
-token is appended to every successful result.
+to the earliest rule in the file.  Every rule is looked up by the next
+input character: rules whose pattern is a plain literal (no regex
+metacharacter, and no backslash before a letter, digit or underscore)
+are compared as strings, and each other rule runs as a regular
+expression only at characters a match of it can start with.  That set
+is read off the parsed pattern when the spec is built; a pattern the
+walk does not understand (a flag, a negated or category class such as
+``[^x]`` or ``\\d``, ``.``, a lookaround, a back-reference, a pattern that
+can match empty, ...) falls back to being tried at every character.
+Skipping a rule that cannot match changes nothing, so the longest-match
+and earliest-rule semantics are the same either way.  Any stretch of
+input no rule matches raises :class:`LexError` — the file is rejected as
+a whole rather than guessed at.  A zero-width end-of-input token is
+appended to every successful result.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
+
+try:
+    from re import _parser as _sre  # Python 3.11+
+except ImportError:  # Python 3.10; importing sre_parse warns on 3.11+
+    import sre_parse as _sre
 
 from .grammar import EOF, _unquote
 
@@ -36,13 +47,14 @@ class LexSpecError(Exception):
     """A problem in the rule file, with its line number."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A lexed token: a type plus the source span it covers.
 
     Tokens synthesized during error repair carry ``inserted=True`` and a
     zero-width span at the point of the error; they have a type but no
-    text of their own.
+    text of their own.  Being a named tuple, a token is immutable,
+    hashable and equal to a plain tuple of its fields, e.g.
+    ``Token("INT", 0, 2) == ("INT", 0, 2, False)``.
     """
 
     type: str
@@ -85,6 +97,76 @@ def _literal_of(rx: re.Pattern) -> str | None:
     return re.sub(r"\\(.)", r"\1", rx.pattern, flags=re.DOTALL)
 
 
+# POSSESSIVE_REPEAT and ATOMIC_GROUP are new in Python 3.11.
+_REPEATS = {_sre.MAX_REPEAT, _sre.MIN_REPEAT, getattr(_sre, "POSSESSIVE_REPEAT", None)}
+_ATOMIC_GROUP = getattr(_sre, "ATOMIC_GROUP", None)
+_MAX_RANGE = 256
+
+
+def _first_chars(rx: re.Pattern) -> frozenset[str] | None:
+    """The characters a non-empty match of ``rx`` can start with, or None
+    for "any character".
+
+    Conservative: a flag beyond the default, a scoped flag, a negated or
+    category class, a class range wider than 256 characters, ``.``, an
+    anchor, a lookaround, a back-reference, a pattern that can match
+    empty, or anything else the walk does not know gives None.
+    """
+    if not isinstance(rx.pattern, str) or rx.flags != re.UNICODE:
+        return None
+    try:
+        chars, nullable = _first_of_seq(_sre.parse(rx.pattern, rx.flags).data)
+    except Exception:  # an unknown construct, or a parser internal that moved
+        return None
+    return None if nullable else frozenset(map(chr, chars))
+
+
+def _first_of_seq(items) -> tuple[set[int], bool]:
+    """First code points of a parsed sequence, and whether it can match empty."""
+    first: set[int] = set()
+    for op, av in items:
+        chars, nullable = _first_of_item(op, av)
+        first |= chars
+        if not nullable:
+            return first, False
+    return first, True
+
+
+def _first_of_item(op, av) -> tuple[set[int], bool]:
+    if op is _sre.LITERAL:
+        return {av}, False
+    if op is _sre.IN:
+        chars: set[int] = set()
+        for kind, arg in av:
+            if kind is _sre.LITERAL:
+                chars.add(arg)
+            elif kind is _sre.RANGE and arg[1] - arg[0] < _MAX_RANGE:
+                chars.update(range(arg[0], arg[1] + 1))
+            else:
+                raise ValueError(f"no finite first set for {kind}")
+        return chars, False
+    if op is _sre.BRANCH:
+        first: set[int] = set()
+        nullable = False
+        for alt in av[1]:
+            chars, alt_nullable = _first_of_seq(alt)
+            first |= chars
+            nullable = nullable or alt_nullable
+        return first, nullable
+    if op is _sre.SUBPATTERN:
+        _, add_flags, del_flags, sub = av
+        if add_flags or del_flags:
+            raise ValueError("scoped flags")
+        return _first_of_seq(sub)
+    if op in _REPEATS:
+        low, _, sub = av
+        chars, nullable = _first_of_seq(sub)
+        return chars, nullable or low == 0
+    if op is _ATOMIC_GROUP:
+        return _first_of_seq(av)
+    raise ValueError(f"no finite first set for {op}")
+
+
 class LexSpec:
     def __init__(self, rules: list[tuple[re.Pattern, str | None]]):
         self.rules = rules
@@ -92,7 +174,14 @@ class LexSpec:
         # (literal, length, rule index, token).  A literal repeated by a
         # later rule can never win a tie, so only its first rule is kept.
         self._literals: dict[str, list[tuple[str, int, int, str | None]]] = {}
+        # Regex rules in rule order, each (pattern, rule index, token).
+        # ``_regexes_at[c]`` lists, in rule order, those whose match can
+        # start with ``c`` plus those in ``_anywhere``, which may start
+        # with any character; a character not in ``_regexes_at`` gets
+        # ``_anywhere`` alone.
         self._regexes: list[tuple[re.Pattern, int, str | None]] = []
+        self._anywhere: list[tuple[re.Pattern, int, str | None]] = []
+        self._regexes_at: dict[str, list[tuple[re.Pattern, int, str | None]]] = {}
         seen: set[str] = set()
         for i, (rx, name) in enumerate(rules):
             lit = _literal_of(rx)
@@ -103,6 +192,15 @@ class LexSpec:
                 self._literals.setdefault(lit[0], []).append((lit, len(lit), i, name))
         for entries in self._literals.values():
             entries.sort(key=lambda e: -e[1])
+        for entry in self._regexes:
+            chars = _first_chars(entry[0])
+            if chars is None:
+                self._anywhere.append(entry)
+                for entries in self._regexes_at.values():
+                    entries.append(entry)
+            else:
+                for c in chars:
+                    self._regexes_at.setdefault(c, list(self._anywhere)).append(entry)
 
     @classmethod
     def parse(cls, text: str) -> "LexSpec":
@@ -149,19 +247,22 @@ class LexSpec:
     def lex(self, src: str) -> list[Token]:
         toks: list[Token] = []
         literals = self._literals
-        regexes = self._regexes
+        regexes_at = self._regexes_at
+        anywhere = self._anywhere
         no_literals: list = []
+        n_rules = len(self.rules)
         pos = 0
         n = len(src)
         while pos < n:
+            c = src[pos]
             best_len = 0
-            best_rule = len(self.rules)
+            best_rule = n_rules
             best_name: str | None = None
-            for lit, length, i, name in literals.get(src[pos], no_literals):
+            for lit, length, i, name in literals.get(c, no_literals):
                 if src.startswith(lit, pos):
                     best_len, best_rule, best_name = length, i, name
                     break
-            for rx, i, name in regexes:
+            for rx, i, name in regexes_at.get(c, anywhere):
                 m = rx.match(src, pos)
                 if m is not None:
                     length = m.end() - pos

@@ -333,7 +333,7 @@ def parse(
             "the tokens must end with exactly one end-of-input token "
             f"{table.tokens[table.eof]!r}"
         )
-    lines = LineIndex(src)
+    lines: Optional[LineIndex] = None   # built at the first error
 
     stack = [0]
     forest: list = []
@@ -347,6 +347,8 @@ def parse(
             tree = forest[-1] if forest else None
             return ParseResult(tree, reports, stats)
         stats.error_locations += 1
+        if lines is None:
+            lines = LineIndex(src)
         line, col = lines.line_col(toks[idx].start)
         budget = params.timeout_s - stats.recovery_time_s
         report = RecoveryReport(toks[idx].start, line, col, recoverer, False)

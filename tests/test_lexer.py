@@ -1,12 +1,14 @@
 import pathlib
 import re
+import string
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from lrfix import LexError, LexSpec, LexSpecError, LineIndex
-from lrfix.lexer import Token
+from lrfix.lexer import Token, _first_chars
 
 from conftest import lexspec_of
 
@@ -75,6 +77,15 @@ def test_inserted_token_has_no_lexeme():
     assert t.lexeme("0123456") == ""
 
 
+def test_token_is_an_immutable_value():
+    t = Token("INT", 0, 2)
+    with pytest.raises(AttributeError):
+        t.start = 1
+    assert t == Token("INT", 0, 2) == ("INT", 0, 2, False)
+    assert hash(t) == hash(Token("INT", 0, 2))
+    assert len({t, Token("INT", 0, 2), Token("INT", 0, 2, inserted=True)}) == 2
+
+
 def test_line_index_basics():
     li = LineIndex("ab\ncd\n\nx")
     assert li.line_col(0) == (1, 1)
@@ -129,7 +140,10 @@ def assert_lexes_like_reference(spec, src):
 # Literals that are prefixes of each other, keywords an ID regex also
 # matches, a literal listed twice, a literal skip rule and escaped
 # literals, each with some text it matches.  Drawn in any order, so the
-# ID regex sometimes precedes a keyword and takes the tie.
+# ID regex sometimes precedes a keyword and takes the tie.  The regexes
+# after the skip rule exercise the first-character walk: an optional
+# prefix, a group alternation and a nullable repeat before a literal,
+# then patterns that must fall back to being tried at every character.
 RULE_POOL = [
     (r"\+ '+'", ["+"]),
     (r"\+= '+='", ["+="]),
@@ -149,6 +163,14 @@ RULE_POOL = [
     (r"[0-9]+ 'NUM'", ["0", "19"]),
     (r"[+=]+ 'OPS'", ["+", "=+", "++="]),
     (r"[ \n]+ ;", [" ", "\n"]),
+    (r"-?[0-9]+ 'SNUM'", ["-7", "42"]),
+    (r"(?:ab|c)+ 'ABC'", ["ab", "c", "cab"]),
+    (r"(x|y)*z 'XYZ'", ["z", "xz", "yxz"]),
+    (r"[^ \n]+ 'WORD'", ["w", "@q"]),
+    (r"\d+ 'DIGITS'", ["7"]),
+    (r"(?i:if) 'IF'", ["IF", "iF"]),
+    (r"(?=a)[a-z]+ 'AWORD'", ["ab"]),
+    (r". 'ANY'", ["%"]),
 ]
 
 
@@ -171,6 +193,49 @@ def test_clike_rules_split_into_literals_and_regexes():
     assert len(spec._regexes) == 6
 
 
+def test_clike_regexes_have_finite_first_characters():
+    # A silent fallback to trying a regex at every character would show here.
+    spec = LexSpec.parse((PERFBENCH / "clike.l").read_text(encoding="utf-8"))
+    assert {rx.pattern: _first_chars(rx) for rx, _, _ in spec._regexes} == {
+        r"[A-Za-z_][A-Za-z0-9_]*": frozenset(string.ascii_letters + "_"),
+        r"[0-9]+": frozenset(string.digits),
+        r'"[^"\\\n]*"': frozenset('"'),
+        r"//[^\n]*": frozenset("/"),
+        r"/\*([^*]|\*+[^*/])*\*+/": frozenset("/"),
+        r"[ \t\n]+": frozenset(" \t\n"),
+    }
+    assert spec._anywhere == []
+
+
+@pytest.mark.parametrize(
+    "pattern, first",
+    [
+        (r"-?[0-9]+", "-" + string.digits),
+        (r"(?:ab|c)+", "ac"),
+        (r"(x|y)*z", "xyz"),
+        (r"(?:ab)|c*d", "acd"),
+        pytest.param(
+            r"(?>ab)|c*+d", "acd",
+            marks=pytest.mark.skipif(sys.version_info < (3, 11), reason="new in Python 3.11"),
+        ),
+        ("[\x00-\xff]", "".join(map(chr, range(256)))),
+        ("[^ \n]+", None),                   # negated class
+        (r"\d+", None),                      # category
+        (r"(?i:if)", None),                  # scoped flag
+        (r"(?=a)[a-z]+", None),              # lookahead
+        (r".", None),                        # any character
+        (r"(a)\1", "a"),                     # back-reference after the first character
+        (r"(a)?\1b", None),                  # back-reference where a match can start
+        (r"^a", None),                       # anchor
+        (r"a*", None),                       # matches empty
+        ("[\u0100-\u0300]", None),           # range wider than 256 characters
+    ],
+)
+def test_first_characters_or_fallback(pattern, first):
+    assert _first_chars(re.compile(pattern)) == (None if first is None else frozenset(first))
+    assert _first_chars(re.compile(pattern, re.IGNORECASE)) is None
+
+
 @pytest.mark.parametrize(
     "rx",
     [
@@ -180,6 +245,7 @@ def test_clike_rules_split_into_literals_and_regexes():
         re.compile("if", re.IGNORECASE),
         re.compile(r"a{2}"),
         re.compile(r"a]"),
+        re.compile(r"a*"),            # matches empty: tried everywhere, never wins
     ],
 )
 def test_patterns_that_are_not_plain_literals_stay_regexes(rx):
