@@ -54,16 +54,17 @@ def show(src, **params):
 # A missing operand: one obvious fix.
 show("2 +")
 
-# A doubled operator: two equally cheap fixes.
+# A doubled operator: two equally cheap fixes that parse equally far.
+# Canonical order lists the insert first, so it is the one applied.
 show("2 + + 3")
 
 # A missing operator: six distinct minimum-cost sequences, found together.
-# The deterministic flag pins their reported order.
-show("2 3 +", deterministic=True)
+# They are listed in canonical order, which depends only on the set.
+show("2 3 +")
 
 # Costs are tunable: make INT expensive to insert and the minimum changes.
 print("with insert-cost(INT) = 5:")
-show("2 3 +", insert_cost=lambda tok: 5 if tok == "INT" else 1, deterministic=True)
+show("2 3 +", insert_cost=lambda tok: 5 if tok == "INT" else 1)
 
 # Grammars can mark tokens that make poor guesses (%avoid_insert): such
 # inserts still appear, but rank behind everything else and are never

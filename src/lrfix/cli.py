@@ -91,12 +91,6 @@ def main(argv=None) -> int:
         metavar="MS",
         help="total error-recovery budget per file, in milliseconds (default: 500)",
     )
-    ap.add_argument(
-        "--deterministic",
-        action="store_true",
-        help="list repair sequences in canonical order (inserts by token declaration "
-        "order, then deletes, then shifts) instead of the order the search found them",
-    )
     ap.add_argument("--print-tree", action="store_true", help="print the parse tree")
     ap.add_argument(
         "--quiet", action="store_true", help="print nothing; communicate via exit status"
@@ -140,9 +134,7 @@ def main(argv=None) -> int:
     except LexError as e:
         return complain(f"{args.input}: {e}")
 
-    params = RecoveryParams(
-        timeout_s=args.timeout / 1000.0, deterministic=args.deterministic
-    )
+    params = RecoveryParams(timeout_s=args.timeout / 1000.0)
     try:
         result = parse(table, toks, src, recoverer=args.recoverer, params=params)
     except ParserInternalError as e:

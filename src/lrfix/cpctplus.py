@@ -39,13 +39,14 @@ terminals whose action on top of the stack is not an error
 (``StateTable.live_terms``).
 Success configurations are then ranked by how far ahead the input each
 can parse (up to ``n_try`` tokens; reaching accept counts as the full
-distance): the furthest-parsing ones survive, the best-ordered sequence
-is applied, the rest are reported.
+distance): the furthest-parsing ones survive.
 ``rank_reversed=True`` inverts that choice — keeping the worst - which
 exists to measure how much the ranking itself buys.  The surviving
 configurations are expanded from the repair DAG into their distinct
-sequences.  One deadline bounds the search, the ranking and the
-expansion; once it passes, the search fails.
+sequences, reported in canonical order, which depends only on the set:
+sequences that insert an ``%avoid_insert`` token last, then integer
+repair-code order.  The first is applied.  One deadline bounds the
+search, the ranking and the expansion; once it passes, the search fails.
 
 Three shift-move flavours are kept around because they make instructive
 baselines (see ``shift_style``):
@@ -102,7 +103,7 @@ class _RepairNode:
 @dataclass
 class SearchOutcome:
     cost: int
-    sequences: list[list[Repair]]   # ranked; trailing shifts pruned
+    sequences: list[list[Repair]]   # canonical order; trailing shifts pruned
     applied: list[Repair]           # == sequences[0]
     success_configs: int            # distinct, before ranking (see RawSearch)
     merges: int                     # grafts before the search stopped (see RawSearch)
@@ -307,11 +308,10 @@ class _Search:
             cost += 1
         return None
 
-    def sequences(self, configs: list[tuple]) -> Optional[list[tuple[int, ...]]]:
+    def sequences(self, configs: list[tuple]) -> Optional[set[tuple[int, ...]]]:
         """The distinct non-empty sequences reaching ``configs`` (from
-        ``run``), trailing shifts pruned, in discovery order; None once the
-        deadline passes."""
-        seqs: dict[tuple[int, ...], None] = {}
+        ``run``), trailing shifts pruned; None once the deadline passes."""
+        seqs: set[tuple[int, ...]] = set()
         for _, _, rm in configs:
             raws = _expand(rm, self.deadline)
             if raws is None:
@@ -321,42 +321,39 @@ class _Search:
                 while end and raw[end - 1] == self.shift_c:
                     end -= 1
                 if end:
-                    seqs[raw[:end]] = None
-        return list(seqs)
+                    seqs.add(raw[:end])
+        return seqs
 
 
 # ---------------------------------------------------------------------------
 # Sequence extraction.
 
 
-def _expand(rm, deadline: float) -> Optional[list[tuple[int, ...]]]:
+def _expand(rm, deadline: float) -> Optional[set[tuple[int, ...]]]:
     """All distinct repair sequences reaching a node, merged alternatives
-    included, in discovery order; None once ``time.monotonic()`` passes
-    ``deadline``."""
-    memo: dict[int, list] = {}
+    included; None once ``time.monotonic()`` passes ``deadline``."""
+    memo: dict[int, set] = {}
     monotonic = time.monotonic
 
-    def go(node) -> Optional[list[tuple[int, ...]]]:
+    def go(node) -> Optional[set[tuple[int, ...]]]:
         if node is None:
-            return [()]
+            return {()}
         got = memo.get(id(node))
         if got is not None:
             return got
         if monotonic() > deadline:
             return None
-        memo[id(node)] = []  # guards against cycles, which the cost grid rules out
+        memo[id(node)] = set()  # guards against cycles, which the cost grid rules out
         prefixes = go(node.parent)
         if prefixes is None:
             return None
-        mine = [p + (node.repair,) for p in prefixes]
+        mine = {p + (node.repair,) for p in prefixes}
         if node.merged:
             for m in node.merged:
                 alt = go(m)
                 if alt is None:
                     return None
-                mine.extend(alt)
-            # Alternatives can share prefixes; keep each prefix once.
-            mine = list(dict.fromkeys(mine))
+                mine |= alt
         memo[id(node)] = mine
         return mine
 
@@ -419,22 +416,15 @@ def repair_search(
             return None
         dists.append(_parse_distance(table, stk, off, tok_ids, params.n_try))
     best = min(dists) if rank_reversed else max(dists)
-    ordered = search.sequences([c for c, d in zip(configs, dists) if d == best])
-    if not ordered:
+    seqs = search.sequences([c for c, d in zip(configs, dists) if d == best])
+    if not seqs:
         return None
 
-    # Insert codes only: a grammar built without parse_grammar's checks
-    # could name EOF, whose index is the delete code.
+    # Canonical order.  Insert codes only: a grammar built without
+    # parse_grammar's checks could name EOF, whose index is the delete code.
     index, eof = table.token_index, table.eof
     avoid = {index[t] for t in table.grammar.avoid_insert if index.get(t, eof) < eof}
-
-    def has_avoided(seq: tuple[int, ...]) -> bool:
-        return any(c in avoid for c in seq)
-
-    if params.deterministic:
-        ordered.sort(key=lambda s: (has_avoided(s), s))
-    else:
-        ordered.sort(key=has_avoided)  # stable: only the avoid split moves
+    ordered = sorted(seqs, key=lambda s: (any(c in avoid for c in s), s))
     sequences = [list(_decode(table, s)) for s in ordered]
     return SearchOutcome(search.c_max, sequences, sequences[0], len(configs), search.merges)
 

@@ -101,7 +101,6 @@ class RecoveryParams:
     n_try: int = 250           # tokens a candidate repair is test-parsed over
     timeout_s: float = 0.5     # total recovery budget per file
     insert_cost: Optional[Callable[[str], int]] = None  # per-token insert cost, an int >= 1
-    deterministic: bool = False  # canonical, not discovery, order of reported sequences
 
     def __post_init__(self) -> None:
         if self.n_shifts < 1:

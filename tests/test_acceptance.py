@@ -284,7 +284,6 @@ def test_criterion_09_cli_golden_runs(capsys):
         str(FIXTURES / "mini_java.l"),
         str(FIXTURES / "mini_java.y"),
         str(INPUTS / "mini_java_bad.txt"),
-        "--deterministic",
     ]
     assert cli_main(mj) == 1
     first = capsys.readouterr().out
@@ -305,7 +304,6 @@ def test_criterion_09_cli_golden_runs(capsys):
         str(FIXTURES / "calc.l"),
         str(FIXTURES / "calc.y"),
         str(INPUTS / "calc_bad.txt"),
-        "--deterministic",
     ]
     assert cli_main(bad) == 1
     out = capsys.readouterr().out

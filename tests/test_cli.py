@@ -1,8 +1,13 @@
+import pathlib
+import re
+
 import pytest
 
 from lrfix.cli import main
 
 from conftest import FIXTURES, INPUTS
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 CALC_L = str(FIXTURES / "calc.l")
 CALC_Y = str(FIXTURES / "calc.y")
@@ -38,14 +43,14 @@ def test_clean_parse_exits_zero(capsys):
 
 
 def test_recovered_parse_exits_one(capsys):
-    code = main([MJ_L, MJ_Y, str(INPUTS / "mini_java_bad.txt"), "--deterministic"])
+    code = main([MJ_L, MJ_Y, str(INPUTS / "mini_java_bad.txt")])
     out = capsys.readouterr()
     assert code == 1
     assert out.out == MJ_EXPECTED
 
 
 def test_error_report_lists_all_sequences(capsys):
-    code = main([CALC_L, CALC_Y, str(INPUTS / "calc_bad.txt"), "--deterministic"])
+    code = main([CALC_L, CALC_Y, str(INPUTS / "calc_bad.txt")])
     out = capsys.readouterr().out
     assert code == 1
     head, *seq_lines = out.splitlines()
@@ -165,13 +170,24 @@ def test_negative_timeout_is_refused(capsys):
     assert "--timeout" in capsys.readouterr().err
 
 
-def test_deterministic_output_is_stable(capsys):
-    argv = [MJ_L, MJ_Y, str(INPUTS / "mini_java_bad.txt"), "--deterministic"]
+def test_cli_output_is_stable(capsys):
+    argv = [MJ_L, MJ_Y, str(INPUTS / "mini_java_bad.txt")]
     main(argv)
     first = capsys.readouterr().out
     main(argv)
     second = capsys.readouterr().out
     assert first == second == MJ_EXPECTED
+
+
+def test_readme_quick_start_is_true(capsys):
+    block = re.search(r"## Quick start\n.*?```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                      re.DOTALL).group(1)
+    cat, src, cmd, *listing = block.splitlines(keepends=True)
+    assert cat == "$ cat broken.calc\n"
+    assert src == (INPUTS / "calc_bad.txt").read_text(encoding="utf-8")
+    assert cmd == "$ lrfix calc.l calc.y broken.calc\n"  # no option
+    assert main([CALC_L, CALC_Y, str(INPUTS / "calc_bad.txt")]) == 1
+    assert "".join(listing) == capsys.readouterr().out
 
 
 CYCLIC_GRAMMAR = "%token x\n%%\nS: B | A S;\nA: ;\nB: ;\n"
