@@ -1,11 +1,12 @@
 """Immutable parent-pointer stacks.
 
-The error-repair search explores thousands of alternative parser stacks
-that share long common prefixes.  Copying a list per alternative would be
-quadratic, so stacks are represented as a *cactus*: each node holds one
-value and a pointer to its parent, and pushing returns a fresh node while
-the old stack remains valid.  Many stacks therefore share structure, and
-push/pop are O(1).
+Many alternative stacks that share long common prefixes can be kept
+without copying as a *cactus*: each node holds one value and a pointer to
+its parent, and pushing returns a fresh node while the old stack remains
+valid.  Many stacks therefore share structure, and push/pop are O(1).
+The repair search keeps its stacks as interned ints instead (see
+``cpctplus._Search``); nothing in the library uses this module, and the
+benchmark's tracer still counts ``Cactus.push`` calls.
 
 Nodes cache their depth and a running content hash so that two stacks
 built along different paths compare equal (and hash equal) whenever they

@@ -12,20 +12,26 @@ again, so demanding a run of shifts filters out edits that only thrash.
 The frontier is kept in cost-ordered buckets (a Dijkstra-style queue on a
 uniform cost grid).  Configurations that *compatible* paths reached —
 same parser stack, same input position, same trailing shift run, same
-just-deleted flag — are explored once: one table maps that compatibility
-tuple to the cost and repair node of its first arrival.  A later arrival
-at the same cost is grafted onto that node as a parent-pointer DAG, so
-every sequence can still be reported even though only one configuration
-is expanded; a success stays in the table, so a later arrival at it is
-grafted too.  A later arrival at a higher cost is dropped: its future is
-the first arrival's, so each of its completions costs more than one the
-search already reaches, and none can be of minimum cost.  No arrival is
-ever cheaper than the first, because the tuple fixes the cost of the
-move that reaches it (a shift or the accept check is free, a delete
-costs 1, and an insert costs what the token entering the top state
-does), buckets drain in cost order, and a bucket's edits are built
-before the next one drains.  Without merging each path is a
-configuration of its own, so none arrives twice and no table is kept.
+just-deleted flag — are explored once: those four fields are packed into
+one int key, and one table maps it to the repair node of its first
+arrival, whose cost the repair DAG records.  A later arrival at the same
+cost is grafted onto that node, so every sequence can still be reported
+even though only one configuration is expanded; a success stays in the
+table, so a later arrival at it is grafted too.  A later arrival at a
+higher cost is dropped: its future is the first arrival's, so each of its
+completions costs more than one the search already reaches, and none can
+be of minimum cost.  No arrival is ever cheaper than the first, because
+the key fixes the cost of the move that reaches it (a shift or the accept
+check is free, a delete costs 1, and an insert costs what the token
+entering the top state does), buckets drain in cost order, and a bucket's
+edits are built before the next one drains.  Without merging each path
+is a configuration of its own, so none arrives twice and no table is kept.
+
+All search state is plain ints.  Stacks are hash-consed (Filliâtre &
+Conchon, "Type-safe modular hash-consing", ML Workshop 2006), so equal
+stacks get equal ints and compare without a walk.  The repair DAG lives
+in int columns: a node is one repair code and the node of the path before
+it, and a node is made only for an arrival that is queued or grafted.
 
 A popped configuration first gets only its zero-cost moves (shifts and
 reductions), which stay in its bucket.  Every edit costs at least 1 and
@@ -36,7 +42,9 @@ bucket holds a success, the rest of it is drained so the *complete* set
 of minimum-cost sequences is collected, its edits are never built, and
 everything costlier is dropped.  Inserts are only tried for the
 terminals whose action on top of the stack is not an error
-(``StateTable.live_terms``).
+(``StateTable.live_terms``), and one pass over those terminals, grouped
+by their action, runs each reduction once for every terminal that needs
+it.
 Success configurations are then ranked by how far ahead the input each
 can parse (up to ``n_try`` tokens; reaching accept counts as the full
 distance): the furthest-parsing ones survive.
@@ -46,7 +54,8 @@ configurations are expanded from the repair DAG into their distinct
 sequences, reported in canonical order, which depends only on the set:
 sequences that insert an ``%avoid_insert`` token last, then integer
 repair-code order.  The first is applied.  One deadline bounds the
-search, the ranking and the expansion; once it passes, the search fails.
+search, the ranking, the expansion and the decoding; once it passes, the
+search fails.
 
 Three shift-move flavours are kept around because they make instructive
 baselines (see ``shift_style``):
@@ -64,11 +73,11 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .cactus import Cactus
 from .lrtable import ACCEPT_CELL, StateTable
 from .parser import (
     ParserInternalError, RecoveryParams, ReduceChainError, Repair, REDUCE_CHAIN_LIMIT, drive,
@@ -77,27 +86,10 @@ from .parser import (
 # Repair codes, kept as small ints in the hot path and numbered so that
 # integer order is the canonical order (inserts by token, then delete,
 # then shift): inserting token t is t itself, delete is the EOF index
-# (EOF is never inserted), shift is one past it.
-class _RepairNode:
-    """One edge of the repair DAG: a repair code plus the path before it.
-
-    ``merged`` collects the repair nodes of configurations that were folded
-    into this one; expanding a node therefore yields its own sequence and
-    every merged alternative.
-    """
-
-    __slots__ = ("repair", "parent", "merged")
-
-    def __init__(self, repair: int, parent: Optional["_RepairNode"]):
-        self.repair = repair
-        self.parent = parent
-        self.merged: Optional[list] = None
-
-    def add_merged(self, other: "_RepairNode") -> None:
-        if self.merged is None:
-            self.merged = [other]
-        else:
-            self.merged.append(other)
+# (EOF is never inserted), shift is one past it.  An arrival with the code
+# NO_REPAIR makes no repair: it comes along an existing repair node.
+NO_REPAIR = -1
+ROOT = 0  # the repair node of the empty path
 
 
 @dataclass
@@ -129,6 +121,27 @@ class RawSearch:
 
 
 class _Search:
+    """One search's state, all of it ints.
+
+    *Stacks.*  A stack is a ref, ``node * n_states + top``: its top state
+    and the node of the stack below it.  Node 0 is the empty stack, and
+    ``below[node]`` is the ref of node ``node``'s stack; ``node_of`` maps
+    that ref back.  A stack becomes a node only when something is pushed
+    onto it, and a pop reads ``below``, so equal stacks always get equal
+    refs.
+
+    *Configurations.*  ``ref``, ``offset``, ``tail`` (the main path's
+    trailing shift count) and ``after_delete`` (whether its last repair was
+    a delete) pack into one int key.  ``best`` maps a key to the repair node
+    of its first arrival; each cost bucket in ``todo`` is a flat list of
+    ``key, node`` pairs.
+
+    *Repair DAG.*  Node ``i`` has the code ``repair[i]``, the path before it
+    ``parent[i]`` and its arrival's cost ``cost[i]``; node 0 is the empty
+    path.  ``merged`` maps a node to the nodes of the paths grafted onto
+    it, so expanding a node yields its own sequences and theirs.
+    """
+
     def __init__(
         self,
         table: StateTable,
@@ -162,65 +175,161 @@ class _Search:
         # EOF is last and never inserted.
         self.insert_cost = [params.cost_of_insert(t) for t in table.tokens[: self.eof]]
 
-        self.todo: list[list] = []  # per cost: (compatibility key, repair node), popped last first
-        self.best: dict = {}  # compatibility key -> (cost, repair node) of its first arrival
+        self.n_states = len(self.act)
+        self.below = array("q", [-1])
+        self.node_of: dict[int, int] = {}
+        # Key layout, low bits first: after_delete, tail, offset, ref.  A
+        # greedy move (styles 1 and 2) can leave a tail of up to
+        # 2 * n_shifts - 1, and an offset never reaches len(tok_ids).
+        self.off_shift = 1 + (2 * params.n_shifts).bit_length()
+        self.ref_shift = self.off_shift + len(tok_ids).bit_length()
+
+        self.repair = array("i", [NO_REPAIR])
+        self.parent = array("i", [NO_REPAIR])
+        self.cost = array("i", [0])
+        self.merged: dict[int, list[int]] = {}
+        self.todo: list[list[int]] = []  # per cost: key, node pairs, popped last first
+        self.best: dict[int, int] = {}  # key -> repair node of its first arrival
         self.merges = 0
         self.c_max: Optional[int] = None
-        node = Cactus()
-        for s in stack:
-            node = node.push(s)
-        self._add(0, None, node, offset, 0, False)
+        ref = stack[0]  # pushed onto node 0, the empty stack
+        for s in stack[1:]:
+            ref = self._push(ref, s)
+        self._add(0, ROOT, NO_REPAIR, ref, offset, 0, False)
 
-    # -- shared LR micro-steps ------------------------------------------------
+    # -- stacks -----------------------------------------------------------------------
 
-    def _reduce_to_action(self, stack: Cactus, t: int):
+    def _intern(self, ref: int) -> int:
+        """The node of stack ``ref``, made on first use."""
+        node = self.node_of.get(ref)
+        if node is None:
+            node = self.node_of[ref] = len(self.below)
+            self.below.append(ref)
+        return node
+
+    def _push(self, ref: int, state: int) -> int:
+        return self._intern(ref) * self.n_states + state
+
+    def _reduce(self, ref: int, cell: int) -> int:
+        """The stack after the reduce ``cell`` on ``ref``."""
+        n, below = self.n_states, self.below
+        p = cell >> 2
+        for _ in range(self.arity[p]):
+            ref = below[ref // n]
+        g = self.goto[ref % n][self.prule[p]]
+        if g < 0:
+            raise ParserInternalError("missing goto during repair search")
+        return self._push(ref, g)
+
+    def stack_list(self, ref: int) -> list[int]:
+        """The states of stack ``ref``, bottom first."""
+        n, below = self.n_states, self.below
+        out = []
+        while True:
+            node, top = divmod(ref, n)
+            out.append(top)
+            if not node:
+                break
+            ref = below[node]
+        out.reverse()
+        return out
+
+    def _reduce_to_action(self, ref: int, t: int) -> tuple[int, int]:
         """Reduce under lookahead ``t`` until the action is shift, accept or
         error; returns (stack, action cell).  The reduced stack is kept
         only if the cell shifts ``t`` or accepts, as the parser would."""
-        act, goto, arity, prule = self.act, self.goto, self.arity, self.prule
-        n = 0
+        act, n = self.act, self.n_states
+        chain = 0
         while True:
-            cell = act[stack.value][t]
+            cell = act[ref % n][t]
             if cell & 3 != 3:
-                return stack, cell
-            p = cell >> 2
-            popped = stack.drop(arity[p])
-            g = goto[popped.value][prule[p]]
-            if g < 0:
-                raise ParserInternalError("missing goto during repair search")
-            stack = popped.push(g)
-            n += 1
-            if n > REDUCE_CHAIN_LIMIT:
+                return ref, cell
+            ref = self._reduce(ref, cell)
+            chain += 1
+            if chain > REDUCE_CHAIN_LIMIT:
                 raise ParserInternalError("reduce chain did not terminate")
+
+    def _inserts(self, ref: int) -> list[tuple[int, int]]:
+        """(terminal, stack after inserting it) for each live terminal of
+        ``ref``'s top state that some reductions let shift, in token order.
+
+        One pass for all of them: the terminals are grouped by their action
+        in the current top state, each distinct reduce runs once for its
+        whole group, and the group carries on from the reduced stack."""
+        act, n = self.act, self.n_states
+        out = []
+        work = [(ref, self.live_terms[ref % n], 0)]
+        while work:
+            ref, terms, chain = work.pop()
+            row = act[ref % n]
+            node = -1
+            reduces: dict[int, list[int]] = {}
+            for t in terms:
+                cell = row[t]
+                low = cell & 3
+                if low == 2:
+                    if node < 0:
+                        node = self._intern(ref)
+                    out.append((t, node * n + (cell >> 2)))
+                elif low == 3:
+                    group = reduces.get(cell)
+                    if group is None:
+                        reduces[cell] = [t]
+                    else:
+                        group.append(t)
+            if reduces:
+                chain += 1
+                if chain > REDUCE_CHAIN_LIMIT:
+                    raise ParserInternalError("reduce chain did not terminate")
+                for cell, group in reduces.items():
+                    work.append((self._reduce(ref, cell), group, chain))
+        out.sort()
+        return out
 
     # -- frontier maintenance ---------------------------------------------------
 
-    def _add(self, cost: int, rm: Optional[_RepairNode], stack: Cactus, offset: int,
+    def _add(self, cost: int, rm: int, code: int, ref: int, offset: int,
              tail: int, after_delete: bool) -> None:
-        """Queue a configuration at ``cost`` on its first arrival; graft a
-        later arrival at the same cost onto the first one's repair node, and
-        drop one at a higher cost (none is ever lower: see the module
-        docstring).  ``tail`` is the main path's trailing shift count,
-        ``after_delete`` whether its last repair was a delete.  Without
-        merging no path ever arrives again, so nothing is looked up."""
-        key = (stack, offset, tail, after_delete)
+        """An arrival at ``cost`` along repair node ``rm`` extended by
+        ``code``, or along ``rm`` itself when ``code`` is NO_REPAIR.
+        Queue its configuration on its first arrival; graft a later
+        arrival at the same cost onto the first one's repair node, and drop
+        one at a higher cost (none is ever lower: see the module
+        docstring).  Without merging no path ever arrives again, so nothing
+        is looked up."""
+        key = ref << self.ref_shift | offset << self.off_shift | tail << 1 | after_delete
         if self.merge:
-            seen = self.best.get(key)
-            if seen is not None:
-                old = seen[1]
-                if seen[0] == cost and old is not rm and old is not None and rm is not None:
-                    old.add_merged(rm)
+            old = self.best.get(key)
+            if old is not None:
+                if (self.cost[old] == cost and old != ROOT
+                        and (code != NO_REPAIR or rm not in (old, ROOT))):
+                    if code != NO_REPAIR:
+                        rm = self._node(code, rm, cost)
+                    self.merged.setdefault(old, []).append(rm)
                     self.merges += 1
                 return
-            self.best[key] = (cost, rm)
-        while len(self.todo) <= cost:
-            self.todo.append([])
-        self.todo[cost].append((key, rm))
+        if code != NO_REPAIR:
+            rm = self._node(code, rm, cost)
+        if self.merge:
+            self.best[key] = rm
+        todo = self.todo
+        while len(todo) <= cost:
+            todo.append([])
+        bucket = todo[cost]
+        bucket.append(key)
+        bucket.append(rm)
+
+    def _node(self, code: int, rm: int, cost: int) -> int:
+        node = len(self.repair)
+        self.repair.append(code)
+        self.parent.append(rm)
+        self.cost.append(cost)
+        return node
 
     # -- neighbour generation -----------------------------------------------------
 
-    def _zero_cost_moves(self, cost: int, rm: Optional[_RepairNode], stack: Cactus,
-                         offset: int, tail: int, after_delete: bool) -> None:
+    def _zero_cost_moves(self, cost: int, rm: int, ref: int, offset: int, tail: int,
+                         after_delete: bool) -> None:
         """Queue the moves that stay at ``cost``.  If reductions under the
         next token end on accept, styles 2 and 3 queue the reduced stack
         with ``rm`` itself: no other move hangs off ``rm``, as an accept
@@ -229,25 +338,27 @@ class _Search:
         move that shifts until n_shifts tokens went by or the parse stops."""
         tok_ids = self.tok_ids
         style = self.shift_style
-        stack, cell = self._reduce_to_action(stack, tok_ids[offset])
+        ref, cell = self._reduce_to_action(ref, tok_ids[offset])
         if cell == ACCEPT_CELL and style != 1:
-            self._add(cost, rm, stack, offset, tail, after_delete)
+            self._add(cost, rm, NO_REPAIR, ref, offset, tail, after_delete)
+        if cell & 3 != 2:
+            return
         limit = 1 if style == 3 else self.params.n_shifts
         shifted = 0
         while cell & 3 == 2:
-            stack = stack.push(cell >> 2)
+            ref = self._push(ref, cell >> 2)
+            if shifted:  # another shift follows the last one, so it needs a node
+                rm = self._node(self.shift_c, rm, cost)
             shifted += 1
-            rm = _RepairNode(self.shift_c, rm)
             if shifted == limit:
                 break
-            reduced, cell = self._reduce_to_action(stack, tok_ids[offset + shifted])
+            reduced, cell = self._reduce_to_action(ref, tok_ids[offset + shifted])
             if cell & 3 == 2 or cell == ACCEPT_CELL:
-                stack = reduced
-        if shifted:
-            self._add(cost, rm, stack, offset + shifted, tail + shifted, False)
+                ref = reduced
+        self._add(cost, rm, self.shift_c, ref, offset + shifted, tail + shifted, False)
 
-    def _edit_moves(self, cost: int, rm: Optional[_RepairNode], stack: Cactus,
-                    offset: int, after_delete: bool) -> None:
+    def _edit_moves(self, cost: int, rm: int, ref: int, offset: int,
+                    after_delete: bool) -> None:
         """Queue the inserts and the delete, each at a higher cost.
 
         Inserts come in token declaration order, and only of the terminals
@@ -258,41 +369,47 @@ class _Search:
         add = self._add
         if not after_delete:
             insert_cost = self.insert_cost
-            for t in self.live_terms[stack.value]:
-                reduced, cell = self._reduce_to_action(stack, t)
-                if cell & 3 == 2:
-                    add(cost + insert_cost[t], _RepairNode(t, rm),
-                        reduced.push(cell >> 2), offset, 0, False)
+            for t, inserted in self._inserts(ref):
+                add(cost + insert_cost[t], rm, t, inserted, offset, 0, False)
         # Delete the next real token (never end-of-input).
         if self.tok_ids[offset] != self.eof:
-            add(cost + 1, _RepairNode(self.eof, rm), stack, offset + 1, 0, True)
+            add(cost + 1, rm, self.eof, ref, offset + 1, 0, True)
 
     # -- main loop ------------------------------------------------------------------
 
-    def run(self) -> Optional[list[tuple]]:
+    def run(self) -> Optional[list[tuple[int, int, int]]]:
         """Search; returns the success configurations, each a (stack,
         offset, repair node) triple, or None when the search fails: no
         success was found, or the deadline passed."""
-        act = self.act
+        act, n = self.act, self.n_states
         tok_ids = self.tok_ids
         n_shifts = self.params.n_shifts
+        ref_shift, off_shift = self.ref_shift, self.off_shift
+        off_mask = (1 << ref_shift - off_shift) - 1
+        tail_mask = (1 << off_shift - 1) - 1
         monotonic = time.monotonic
+        deadline = self.deadline
         successes = []
         cost = 0
         while cost < len(self.todo):
             bucket = self.todo[cost]
             expanded = []
             while bucket:
-                if monotonic() > self.deadline:
+                if monotonic() > deadline:
                     return None
-                (stack, offset, tail, after_delete), rm = bucket.pop()
-                if act[stack.value][tok_ids[offset]] == ACCEPT_CELL or tail >= n_shifts:
+                rm = bucket.pop()
+                key = bucket.pop()
+                ref = key >> ref_shift
+                offset = key >> off_shift & off_mask
+                tail = key >> 1 & tail_mask
+                if act[ref % n][tok_ids[offset]] == ACCEPT_CELL or tail >= n_shifts:
                     # Successes are not expanded; one reached again is
                     # grafted onto ``rm`` like any other configuration.
-                    successes.append((stack, offset, rm))
+                    successes.append((ref, offset, rm))
                     continue
-                self._zero_cost_moves(cost, rm, stack, offset, tail, after_delete)
-                expanded.append((rm, stack, offset, after_delete))
+                self._zero_cost_moves(cost, rm, ref, offset, tail, key & 1)
+                expanded.append(key)
+                expanded.append(rm)
             if successes:
                 self.c_max = cost
                 self.todo.clear()  # the costlier buckets
@@ -301,19 +418,21 @@ class _Search:
             # needed after all.  They land only in costlier buckets, so
             # building them now, in pop order, fills those buckets exactly
             # as building them at each pop would have.
-            for rm, stack, offset, after_delete in expanded:
-                if monotonic() > self.deadline:
+            for i in range(0, len(expanded), 2):
+                if monotonic() > deadline:
                     return None
-                self._edit_moves(cost, rm, stack, offset, after_delete)
+                key = expanded[i]
+                self._edit_moves(cost, expanded[i + 1], key >> ref_shift,
+                                 key >> off_shift & off_mask, key & 1)
             cost += 1
         return None
 
-    def sequences(self, configs: list[tuple]) -> Optional[set[tuple[int, ...]]]:
+    def sequences(self, configs: list[tuple[int, int, int]]) -> Optional[set[tuple[int, ...]]]:
         """The distinct non-empty sequences reaching ``configs`` (from
         ``run``), trailing shifts pruned; None once the deadline passes."""
         seqs: set[tuple[int, ...]] = set()
         for _, _, rm in configs:
-            raws = _expand(rm, self.deadline)
+            raws = _expand(self.repair, self.parent, self.merged, rm, self.deadline)
             if raws is None:
                 return None
             for raw in raws:
@@ -329,58 +448,78 @@ class _Search:
 # Sequence extraction.
 
 
-def _expand(rm, deadline: float) -> Optional[set[tuple[int, ...]]]:
-    """All distinct repair sequences reaching a node, merged alternatives
-    included; None once ``time.monotonic()`` passes ``deadline``."""
-    memo: dict[int, set] = {}
+def _expand(repair, parent, merged: dict[int, list[int]], rm: int,
+            deadline: float):
+    """All distinct repair sequences reaching node ``rm`` of the repair DAG
+    held in ``repair``, ``parent`` and ``merged`` (see ``_Search``), merged
+    alternatives included; None once ``time.monotonic()`` passes
+    ``deadline``.
+
+    A node without alternatives extends each of its parent's sequences by
+    its own code, which keeps them distinct.  So a run of such nodes is
+    climbed in one go, and only the root and the nodes with alternatives
+    keep their sequences, as sets.  The walk keeps its own stack: a path
+    can be longer than Python's recursion limit."""
+    memo: dict[int, object] = {ROOT: [()]}
     monotonic = time.monotonic
 
-    def go(node) -> Optional[set[tuple[int, ...]]]:
-        if node is None:
-            return {()}
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    def climb(node: int) -> tuple[int, tuple[int, ...]]:
+        """The nearest node at or above ``node`` that is the root or has
+        alternatives, and the codes on the way down from it."""
+        codes = []
+        while node != ROOT and node not in merged:
+            codes.append(repair[node])
+            node = parent[node]
+        codes.reverse()
+        return node, tuple(codes)
+
+    todo = [climb(rm)[0]]
+    while todo:
         if monotonic() > deadline:
             return None
-        memo[id(node)] = set()  # guards against cycles, which the cost grid rules out
-        prefixes = go(node.parent)
-        if prefixes is None:
-            return None
-        mine = {p + (node.repair,) for p in prefixes}
-        if node.merged:
-            for m in node.merged:
-                alt = go(m)
-                if alt is None:
-                    return None
-                mine |= alt
-        memo[id(node)] = mine
-        return mine
+        node = todo[-1]
+        if node in memo:
+            todo.pop()
+            continue
+        stop, codes = climb(parent[node])
+        ways = [(stop, codes + (repair[node],))]
+        ways += map(climb, merged[node])
+        waiting = [stop for stop, _ in ways if stop not in memo]
+        if waiting:
+            todo += waiting
+            continue
+        memo[node] = {p + tail for top, tail in ways for p in memo[top]}
+        todo.pop()
+    stop, codes = climb(rm)
+    return [p + codes for p in memo[stop]]
 
-    return go(rm)
 
-
-def _decode(table: StateTable, seq: tuple[int, ...]) -> tuple[Repair, ...]:
-    return tuple(
-        Repair("insert", table.tokens[c]) if c < table.eof
-        else Repair("delete") if c == table.eof
+def _decode(table: StateTable, seqs) -> list[list[Repair]]:
+    """Each code sequence as a list of Repairs, sharing one frozen Repair
+    per code."""
+    tokens, eof = table.tokens, table.eof
+    shared = {
+        c: Repair("insert", tokens[c]) if c < eof
+        else Repair("delete") if c == eof
         else Repair("shift")
-        for c in seq
-    )
+        for c in set().union(*seqs)
+    }
+    return [list(map(shared.__getitem__, s)) for s in seqs]
 
 
 # ---------------------------------------------------------------------------
 # Ranking.
 
 
-def _parse_distance(table: StateTable, stack: Cactus, offset: int, tok_ids: list[int],
+def _parse_distance(table: StateTable, stack: list[int], offset: int, tok_ids: list[int],
                     n_try: int) -> int:
-    """Input tokens the parser can shift from ``stack`` at ``offset``, up to
-    ``n_try``; accept counts as all.  A reduce chain that never ends (a
-    cyclic grammar) stops the parse at its token, as an error would: the
-    repairs are found by then, and ranking only orders them."""
+    """Input tokens the parser can shift from ``stack`` (which it consumes)
+    at ``offset``, up to ``n_try``; accept counts as all.  A reduce chain
+    that never ends (a cyclic grammar) stops the parse at its token, as an
+    error would: the repairs are found by then, and ranking only orders
+    them."""
     try:
-        off, accepted = drive(table, stack.as_list(), tok_ids, offset, offset + n_try)
+        off, accepted = drive(table, stack, tok_ids, offset, offset + n_try)
     except ReduceChainError as e:
         off, accepted = e.at, False
     return n_try if accepted else off - offset
@@ -411,10 +550,10 @@ def repair_search(
     # Keep the configurations that parse furthest ahead (or, reversed, the
     # least far).
     dists = []
-    for stk, off, _ in configs:
+    for ref, off, _ in configs:
         if time.monotonic() > search.deadline:
             return None
-        dists.append(_parse_distance(table, stk, off, tok_ids, params.n_try))
+        dists.append(_parse_distance(table, search.stack_list(ref), off, tok_ids, params.n_try))
     best = min(dists) if rank_reversed else max(dists)
     seqs = search.sequences([c for c, d in zip(configs, dists) if d == best])
     if not seqs:
@@ -424,8 +563,13 @@ def repair_search(
     # parse_grammar's checks could name EOF, whose index is the delete code.
     index, eof = table.token_index, table.eof
     avoid = {index[t] for t in table.grammar.avoid_insert if index.get(t, eof) < eof}
-    ordered = sorted(seqs, key=lambda s: (any(c in avoid for c in s), s))
-    sequences = [list(_decode(table, s)) for s in ordered]
+    if avoid:
+        ordered = sorted(seqs, key=lambda s: (not avoid.isdisjoint(s), s))
+    else:
+        ordered = sorted(seqs)
+    sequences = _decode(table, ordered)
+    if time.monotonic() > search.deadline:
+        return None
     return SearchOutcome(search.c_max, sequences, sequences[0], len(configs), search.merges)
 
 
@@ -447,7 +591,10 @@ def min_repair_sequences(
     seqs = None if configs is None else search.sequences(configs)
     if seqs is None:
         return None
-    return RawSearch(search.c_max, {_decode(table, s) for s in seqs}, len(configs), search.merges)
+    decoded = {tuple(s) for s in _decode(table, seqs)}
+    if time.monotonic() > search.deadline:
+        return None
+    return RawSearch(search.c_max, decoded, len(configs), search.merges)
 
 
 # ---------------------------------------------------------------------------

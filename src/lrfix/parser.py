@@ -173,21 +173,22 @@ class Node:
 
 
 def tree_text(root: Union[Node, Token], src: str) -> str:
-    """Indented one-node-per-line rendering of a parse tree."""
-    lines: list[str] = []
+    """Indented one-node-per-line rendering of a parse tree.
 
-    def walk(n, depth: int) -> None:
+    The walk keeps its own stack, as a tree can nest deeper than Python's
+    recursion limit."""
+    lines: list[str] = []
+    todo = [(root, 0)]
+    while todo:
+        n, depth = todo.pop()
         pad = "  " * depth
         if isinstance(n, Node):
             lines.append(f"{pad}{n.rule}")
-            for c in n.children:
-                walk(c, depth + 1)
+            todo.extend((c, depth + 1) for c in reversed(n.children))
         else:
             text = n.lexeme(src)
             suffix = " (inserted)" if n.inserted else f" {text}" if text != n.type else ""
             lines.append(f"{pad}{n.type}{suffix}")
-
-    walk(root, 0)
     return "\n".join(lines) + "\n"
 
 

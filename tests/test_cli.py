@@ -3,9 +3,10 @@ import re
 
 import pytest
 
+from lrfix import parse, tree_text
 from lrfix.cli import main
 
-from conftest import FIXTURES, INPUTS
+from conftest import FIXTURES, INPUTS, table_of, toks_of
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -210,3 +211,27 @@ def test_parse_failure_exits_two_with_one_line(tmp_path, capsys):
         f"lrfix: {g}: 0 shift/reduce, 2 reduce/reduce conflicts",
         f"lrfix: {src}: parsing failed: reduce chain did not terminate",
     ]
+
+
+def test_a_file_of_50k_tokens_prints_its_tree(tmp_path, capsys):
+    # 65,534 tokens through parse, tree_text and --print-tree.  A balanced
+    # expression keeps the tree 60 levels deep, so its rendering stays at
+    # about 15 MB.
+    def expr(depth):
+        if depth == 0:
+            return "1"
+        return f"({expr(depth - 1)} {'+*'[depth % 2]} {expr(depth - 1)})"
+
+    src = expr(14) + "\n"
+    toks = toks_of("calc", src)
+    assert len(toks) > 50_000
+    r = parse(table_of("calc"), toks, src, recoverer="none")
+    assert r.success
+    text = tree_text(r.tree, src)
+    assert text.count("INT 1\n") == 2**14
+    path = tmp_path / "big.txt"
+    path.write_text(src, encoding="utf-8")
+    assert main([CALC_L, CALC_Y, str(path), "--print-tree"]) == 0
+    out = capsys.readouterr()
+    assert out.out == text
+    assert out.err == ""

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import pathlib
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from lrfix import (
     repair_search,
 )
 from lrfix import cpctplus
-from lrfix.cactus import Cactus
 from lrfix.lrtable import ACCEPT_CELL
 from lrfix.parser import RECOVERERS, drive
 
@@ -187,30 +187,31 @@ def test_the_budget_bounds_ranking_and_expansion(name, monkeypatch):
     # The clock passes the deadline at the first expansion after a success
     # left its bucket, so whatever work is left (the rest of the bucket,
     # ranking or expanding the sequences) must give up.  Then it passes
-    # again during ranking, and as the repair DAG is expanded.
+    # again during ranking, as the repair DAG is expanded, and as the
+    # sequences are decoded.
     t, stack, ids, idx = golden_point(name)
     n_shifts = RecoveryParams().n_shifts
     clock = JumpingClock()
     monkeypatch.setattr(cpctplus, "time", clock)
     add = cpctplus._Search._add
     zero_cost_moves = cpctplus._Search._zero_cost_moves
-    queued = []  # (cost, bucket entry) of each success as it is queued
+    queued = []  # (cost, key) of each success as it is queued
     jumps = []
     late = []
 
-    def note_successes(self, cost, rm, stack, offset, tail, after_delete):
+    def note_successes(self, cost, rm, code, stack, offset, tail, after_delete):
         n = len(self.todo[cost]) if cost < len(self.todo) else 0
-        add(self, cost, rm, stack, offset, tail, after_delete)
+        add(self, cost, rm, code, stack, offset, tail, after_delete)
         if len(self.todo[cost]) > n and (
-            t.act[stack.value][ids[offset]] == ACCEPT_CELL or tail >= n_shifts
+            t.act[self.stack_list(stack)[-1]][ids[offset]] == ACCEPT_CELL or tail >= n_shifts
         ):
-            queued.append((cost, self.todo[cost][-1]))
+            queued.append((cost, self.todo[cost][-2]))
 
     def jump_after_a_success(self, cost, *args):
-        bucket = self.todo[cost]
+        keys = self.todo[cost][::2]
         if clock.now:
             late.append(args)
-        elif any(c == cost and all(e is not x for x in bucket) for c, e in queued):
+        elif any(c == cost and key not in keys for c, key in queued):
             jumps.append(cost)
             clock.jump()
         return zero_cost_moves(self, cost, *args)
@@ -234,19 +235,84 @@ def test_the_budget_bounds_ranking_and_expansion(name, monkeypatch):
         return distance(*args)
 
     clock.now = 0.0
-    monkeypatch.setattr(cpctplus, "_parse_distance", distance_then_jump)
-    assert repair_search(t, stack, ids, idx) is None
+    with monkeypatch.context() as m:
+        m.setattr(cpctplus, "_parse_distance", distance_then_jump)
+        assert repair_search(t, stack, ids, idx) is None
     assert len(drives) == 1
 
-    expand = cpctplus._expand
+    for step in ("_expand", "_decode"):
+        def jump_then_step(*args, real=getattr(cpctplus, step)):
+            clock.jump()
+            return real(*args)
 
-    def jump_then_expand(*args):
-        clock.jump()
-        return expand(*args)
+        with monkeypatch.context() as m:
+            m.setattr(cpctplus, step, jump_then_step)
+            clock.now = 0.0
+            assert repair_search(t, stack, ids, idx) is None, step
+            clock.now = 0.0
+            assert min_repair_sequences(t, stack, ids, idx) is None, step
 
-    clock.now = 0.0
-    monkeypatch.setattr(cpctplus, "_expand", jump_then_expand)
-    assert min_repair_sequences(t, stack, ids, idx) is None
+
+def test_equal_stacks_reached_along_different_paths_get_one_ref():
+    # Stacks are hash-consed into int refs: shifting INT and shifting
+    # ( INT ) both reduce to the stack Expr needs under '+', through
+    # different nodes, and must come out as one int.
+    t = table_of("calc")
+    ids = [t.token_index[x.type] for x in synth_toks(t, ["INT", "+", "INT"])]
+    search = cpctplus._Search(t, [0], ids, 0, RecoveryParams(), None, 3, True)
+    plus = t.token_index["+"]
+
+    def shift(ref, tok):
+        ref, cell = search._reduce_to_action(ref, t.token_index[tok])
+        assert cell & 3 == 2
+        return search._push(ref, cell >> 2)
+
+    def under_plus(ref):
+        return search._reduce_to_action(ref, plus)[0]
+
+    bare = shift(0, "INT")
+    nested = shift(shift(shift(0, "("), "INT"), ")")
+    assert bare != nested
+    assert under_plus(bare) == under_plus(nested)
+    expect = [0]
+    for tok in ("INT", "+"):
+        while lr_step(t, expect, tok)[0] == "reduce":
+            pass
+    expect.pop()  # the shift of '+'
+    assert search.stack_list(under_plus(nested)) == expect
+    pushed = expect[0]
+    for state in expect[1:]:
+        pushed = search._push(pushed, state)
+    assert pushed == under_plus(bare)
+
+
+def test_a_repair_path_longer_than_the_recursion_limit_expands():
+    # n_shifts = 1200 gives each success a path of over 1,200 repair nodes,
+    # more than Python's default recursion limit of 1,000.
+    src = "1 1" + " + 1" * 1300
+    params = RecoveryParams(n_shifts=1200, n_try=1200)
+    r = parse(table_of("calc"), toks_of("calc", src), src, params=params)
+    assert r.success
+    assert [(x.cost, x.sequences) for x in r.reports] == [(1, [[I("+")], [I("*")], [D]])]
+
+
+def test_a_configuration_costs_few_bytes():
+    # Criterion 07's input runs the search to its budget.  A faster search
+    # fills memory faster, so each configuration reached must stay small:
+    # stacks, keys and the repair DAG are plain ints (about 200 bytes a
+    # configuration here, against about 500 with an object per stack node,
+    # key and repair node).
+    t = table_of("bracket_heavy")
+    ids = [t.token_index[x.type] for x in synth_toks(t, list("([{([{([{("))]
+    stack, idx = first_error(t, ids)
+    tracemalloc.start()
+    try:
+        search = cpctplus._Search(t, stack, ids, idx, RecoveryParams(), 0.5, 3, True)
+        assert search.run() is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(search.best) <= 300, f"{peak / len(search.best):.0f} bytes a configuration"
 
 
 @pytest.mark.parametrize("style", [7, 0, "3", 3.0, True], ids=repr)
@@ -360,7 +426,7 @@ def test_ranking_stops_at_a_runaway_reduce_chain(merge):
     t = build_tables(parse_grammar("%token a b c\n%%\nA: | A B;\nB: | a A;"), merge=merge)
     toks = synth_toks(t, ["b", "a", "a", "a"])
     ids = [t.token_index[x.type] for x in toks]
-    assert cpctplus._parse_distance(t, Cactus().push(0), 1, ids, 5) == 3
+    assert cpctplus._parse_distance(t, [0], 1, ids, 5) == 3
     assert min_repair_sequences(t, [0], ids, 0).sequences == {(D,)}
     assert oracle_min_repairs(t, [0], ids, 0) == (1, {(D,)})
     out = repair_search(t, [0], ids, 0)
@@ -767,14 +833,14 @@ def test_no_configuration_arrives_cheaper_than_at_first(name, mode, monkeypatch)
     later = []
     add = cpctplus._Search._add
 
-    def spy(self, cost, rm, stack, offset, tail, after_delete):
+    def spy(self, cost, rm, code, stack, offset, tail, after_delete):
         key = (stack, offset, tail, after_delete)
-        key = key if self.merge else key + (rm,)
+        key = key if self.merge else key + (rm, code)
         if key in first:
             later.append((first[key], cost))
         else:
             first[key] = cost
-        return add(self, cost, rm, stack, offset, tail, after_delete)
+        return add(self, cost, rm, code, stack, offset, tail, after_delete)
 
     monkeypatch.setattr(cpctplus._Search, "_add", spy)
     search_outcome(name, mode)

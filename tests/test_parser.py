@@ -238,3 +238,16 @@ def test_conflicted_epsilon_grammar_raises_instead_of_hanging(recoverer, merge):
     t = build_tables(parse_grammar("%start R\n%token x\n%%\nN: ;\nR: N R x | ;"), merge=merge)
     with pytest.raises(ParserInternalError):
         parse(t, synth_toks(t, ["x"]), recoverer=recoverer)
+
+
+def test_tree_text_renders_a_tree_deeper_than_the_recursion_limit():
+    # Expr: Term '+' Expr nests one level per term, so 1,500 terms make a
+    # tree deeper than Python's default recursion limit of 1,000.
+    terms = 1500
+    src = " + ".join(["1"] * terms)
+    r = run("calc", src, recoverer="none")
+    assert r.success
+    lines = tree_text(r.tree, src).splitlines()
+    assert lines[:4] == ["Expr", "  Term", "    Factor", "      INT 1"]
+    assert sum(line.strip() == "INT 1" for line in lines) == terms
+    assert lines[-1] == "  " * (terms + 2) + "INT 1"
