@@ -183,6 +183,8 @@ class _Search:
         # 2 * n_shifts - 1, and an offset never reaches len(tok_ids).
         self.off_shift = 1 + (2 * params.n_shifts).bit_length()
         self.ref_shift = self.off_shift + len(tok_ids).bit_length()
+        self.tail_mask = (1 << self.off_shift - 1) - 1
+        self.off_mask = (1 << self.ref_shift - self.off_shift) - 1
 
         self.repair = array("i", [NO_REPAIR])
         self.parent = array("i", [NO_REPAIR])
@@ -385,8 +387,7 @@ class _Search:
         tok_ids = self.tok_ids
         n_shifts = self.params.n_shifts
         ref_shift, off_shift = self.ref_shift, self.off_shift
-        off_mask = (1 << ref_shift - off_shift) - 1
-        tail_mask = (1 << off_shift - 1) - 1
+        off_mask, tail_mask = self.off_mask, self.tail_mask
         monotonic = time.monotonic
         deadline = self.deadline
         successes = []
@@ -563,10 +564,7 @@ def repair_search(
     # parse_grammar's checks could name EOF, whose index is the delete code.
     index, eof = table.token_index, table.eof
     avoid = {index[t] for t in table.grammar.avoid_insert if index.get(t, eof) < eof}
-    if avoid:
-        ordered = sorted(seqs, key=lambda s: (not avoid.isdisjoint(s), s))
-    else:
-        ordered = sorted(seqs)
+    ordered = sorted(seqs, key=lambda s: (not avoid.isdisjoint(s), s))
     sequences = _decode(table, ordered)
     if time.monotonic() > search.deadline:
         return None

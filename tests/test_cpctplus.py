@@ -303,7 +303,7 @@ def test_a_configuration_costs_few_bytes():
     # configuration here, against about 500 with an object per stack node,
     # key and repair node).
     t = table_of("bracket_heavy")
-    ids = [t.token_index[x.type] for x in synth_toks(t, list("([{([{([{("))]
+    ids = [t.token_index[x.type] for x in synth_toks(t, list("([{([{([{([{([{([{(["))]
     stack, idx = first_error(t, ids)
     tracemalloc.start()
     try:
