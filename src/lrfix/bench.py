@@ -171,7 +171,6 @@ def run_corpus(
 def summarize(
     records: Sequence[BenchRecord],
     skip_threshold_pct: float = DEFAULT_SKIP_THRESHOLD_PCT,
-    intervals: Optional[dict[str, tuple[float, float]]] = None,
     skipped_files: Optional[list[tuple[str, str]]] = None,
     recoverer: Optional[str] = None,
 ) -> SummaryStats:
@@ -195,7 +194,6 @@ def summarize(
         error_locations=sum(r.error_locations for r in records),
         skip_threshold_pct=skip_threshold_pct,
         excess_skipping=mean_skip > skip_threshold_pct,
-        intervals=intervals,
         skipped_files=skipped_files or [],
     )
 

@@ -53,11 +53,12 @@ def token_mismatch(lexspec: LexSpec, grammar: Grammar, lexer_name: str,
     return None
 
 
-def _format_report(report: RecoveryReport, src: str, toks: list[Token]) -> str:
+def _format_report(report: RecoveryReport, src: str, toks: list[Token], off: int) -> str:
+    """One report's text; ``off`` is the index in ``toks`` of the token
+    at ``report.offset``."""
     head = f"Parsing error at line {report.line} col {report.col}."
     if report.sequences:
         lines = [f"{head} Repair sequences found:"]
-        off = next(i for i, t in enumerate(toks) if t.start == report.offset and not t.inserted)
         for i, seq in enumerate(report.sequences, start=1):
             lines.append(f"  {i}: {render_repairs(seq, src, toks, off)}")
         return "\n".join(lines)
@@ -141,8 +142,10 @@ def main(argv=None) -> int:
         return complain(f"{args.input}: parsing failed: {e}")
 
     if not args.quiet:
+        # Lexed tokens are never empty, so no two start at one offset.
+        index_at = {t.start: i for i, t in enumerate(toks)}
         for report in result.reports:
-            print(_format_report(report, src, toks))
+            print(_format_report(report, src, toks, index_at[report.offset]))
         if args.print_tree and result.tree is not None:
             print(tree_text(result.tree, src), end="")
 

@@ -6,16 +6,15 @@ and discard".  Blank lines and lines starting with ``#`` are ignored.
 
 Tokenizing scans left to right, always taking the longest match; ties go
 to the earliest rule in the file.  Every rule is looked up by the next
-input character: rules whose pattern is a plain literal (no regex
-metacharacter, and no backslash before a letter, digit or underscore)
-are compared as strings, and each other rule runs as a regular
-expression only at characters a match of it can start with.  That set
-is read off the parsed pattern when the spec is built; a pattern the
-walk does not understand (a flag, a negated or category class such as
-``[^x]`` or ``\\d``, ``.``, a lookaround, a back-reference, a pattern that
-can match empty, ...) falls back to being tried at every character.
-Skipping a rule that cannot match changes nothing, so the longest-match
-and earliest-rule semantics are the same either way.  Any stretch of
+input character: when the spec is built, each rule is filed, in rule
+order, under the characters a match of it can start with, read off the
+parsed pattern, and at each position only the rules filed under that
+character run.  A pattern whose first characters that reading cannot pin
+down (a flag, a negated or category class such as ``[^x]`` or ``\\d``,
+``.``, a lookaround, a back-reference, a pattern that can match empty,
+...) is filed under every character instead.  Skipping a rule that
+cannot match changes nothing, so the longest-match and earliest-rule
+semantics are the same as trying every rule everywhere.  Any stretch of
 input no rule matches raises :class:`LexError` — the file is rejected as
 a whole rather than guessed at.  A zero-width end-of-input token is
 appended to every successful result.
@@ -78,23 +77,6 @@ class LineIndex:
 
 
 _NAME_RE = re.compile(r"[A-Za-z_.][A-Za-z_0-9.]*$")
-# A plain literal: no regex metacharacter, and every backslash escapes a
-# character that is not a letter, digit or underscore.
-_LITERAL_RE = re.compile(r"(?:[^.^$*+?{}\[\]|()\\]|\\\W)+")
-
-
-def _literal_of(rx: re.Pattern) -> str | None:
-    """The string ``rx`` matches if it is a plain literal, else None.
-
-    Conservative: a pattern with a flag beyond the default, a
-    metacharacter, or an escaped letter, digit or underscore (a class,
-    an anchor or a back-reference) stays a regex.
-    """
-    if not isinstance(rx.pattern, str) or rx.flags != re.UNICODE:
-        return None
-    if not _LITERAL_RE.fullmatch(rx.pattern):
-        return None
-    return re.sub(r"\\(.)", r"\1", rx.pattern, flags=re.DOTALL)
 
 
 # POSSESSIVE_REPEAT and ATOMIC_GROUP are new in Python 3.11.
@@ -170,37 +152,21 @@ def _first_of_item(op, av) -> tuple[set[int], bool]:
 class LexSpec:
     def __init__(self, rules: list[tuple[re.Pattern, str | None]]):
         self.rules = rules
-        # Literal rules by first character, longest first; each entry is
-        # (literal, length, rule index, token).  A literal repeated by a
-        # later rule can never win a tie, so only its first rule is kept.
-        self._literals: dict[str, list[tuple[str, int, int, str | None]]] = {}
-        # Regex rules in rule order, each (pattern, rule index, token).
-        # ``_regexes_at[c]`` lists, in rule order, those whose match can
-        # start with ``c`` plus those in ``_anywhere``, which may start
-        # with any character; a character not in ``_regexes_at`` gets
-        # ``_anywhere`` alone.
-        self._regexes: list[tuple[re.Pattern, int, str | None]] = []
-        self._anywhere: list[tuple[re.Pattern, int, str | None]] = []
-        self._regexes_at: dict[str, list[tuple[re.Pattern, int, str | None]]] = {}
-        seen: set[str] = set()
-        for i, (rx, name) in enumerate(rules):
-            lit = _literal_of(rx)
-            if lit is None:
-                self._regexes.append((rx, i, name))
-            elif lit not in seen:
-                seen.add(lit)
-                self._literals.setdefault(lit[0], []).append((lit, len(lit), i, name))
-        for entries in self._literals.values():
-            entries.sort(key=lambda e: -e[1])
-        for entry in self._regexes:
+        # ``_at[c]`` lists, in rule order, each (pattern, token) whose match
+        # can start with ``c``, plus those in ``_anywhere``, which may start
+        # with any character; a character not in ``_at`` gets ``_anywhere``
+        # alone.
+        self._anywhere: list[tuple[re.Pattern, str | None]] = []
+        self._at: dict[str, list[tuple[re.Pattern, str | None]]] = {}
+        for entry in rules:
             chars = _first_chars(entry[0])
             if chars is None:
                 self._anywhere.append(entry)
-                for entries in self._regexes_at.values():
+                for entries in self._at.values():
                     entries.append(entry)
             else:
                 for c in chars:
-                    self._regexes_at.setdefault(c, list(self._anywhere)).append(entry)
+                    self._at.setdefault(c, list(self._anywhere)).append(entry)
 
     @classmethod
     def parse(cls, text: str) -> "LexSpec":
@@ -246,33 +212,25 @@ class LexSpec:
 
     def lex(self, src: str) -> list[Token]:
         toks: list[Token] = []
-        literals = self._literals
-        regexes_at = self._regexes_at
+        at = self._at
         anywhere = self._anywhere
-        no_literals: list = []
-        n_rules = len(self.rules)
         pos = 0
         n = len(src)
         while pos < n:
-            c = src[pos]
-            best_len = 0
-            best_rule = n_rules
+            # Only a strictly longer match replaces the best so far, so a
+            # tie stays with the earliest rule.
+            best_end = pos
             best_name: str | None = None
-            for lit, length, i, name in literals.get(c, no_literals):
-                if src.startswith(lit, pos):
-                    best_len, best_rule, best_name = length, i, name
-                    break
-            for rx, i, name in regexes_at.get(c, anywhere):
+            for rx, name in at.get(src[pos], anywhere):
                 m = rx.match(src, pos)
-                if m is not None:
-                    length = m.end() - pos
-                    if length > best_len or (length == best_len and i < best_rule):
-                        best_len, best_rule, best_name = length, i, name
-            if best_len == 0:
+                if m is not None and m.end() > best_end:
+                    best_end = m.end()
+                    best_name = name
+            if best_end == pos:
                 line, col = LineIndex(src).line_col(pos)
                 raise LexError(f"no rule matches {src[pos:pos+10]!r}", pos, line, col)
             if best_name is not None:
-                toks.append(Token(best_name, pos, pos + best_len))
-            pos += best_len
+                toks.append(Token(best_name, pos, best_end))
+            pos = best_end
         toks.append(Token(EOF, n, n))
         return toks

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 
 from .grammar import EOF, Grammar, Production
 
@@ -126,16 +127,12 @@ def _weakly_compatible(existing: _Items, incoming: _Items) -> bool:
     clash) or one side already had the two lookahead sets overlapping (any
     clash was already present before merging).
     """
-    items = list(incoming)
-    if len(items) == 1:
-        return True
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            c_a, c_b = incoming[items[a]], incoming[items[b]]
-            d_a, d_b = existing[items[a]], existing[items[b]]
-            if (c_a & d_b) or (c_b & d_a):
-                if not (c_a & c_b) and not (d_a & d_b):
-                    return False
+    for a, b in combinations(incoming, 2):
+        c_a, c_b = incoming[a], incoming[b]
+        d_a, d_b = existing[a], existing[b]
+        if (c_a & d_b) or (c_b & d_a):
+            if not (c_a & c_b) and not (d_a & d_b):
+                return False
     return True
 
 

@@ -53,6 +53,16 @@ def first_error(table: StateTable, tok_ids: list[int]):
             idx += 1
 
 
+def err_point(stem: str, names: list[str]):
+    """A fixture grammar's table driven over synthesized tokens to their
+    first error: (table, stack, token ids, offset)."""
+    t = table_of(stem)
+    toks = synth_toks(t, names)
+    ids = [t.token_index[x.type] for x in toks]
+    stack, idx = first_error(t, ids)
+    return t, stack, ids, idx
+
+
 def agreement_dfs(tc, tm, alphabet, max_len):
     """Walk every viable prefix up to max_len, asserting both tables admit
     exactly the same continuations and the same acceptance at EOF."""

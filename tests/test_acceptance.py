@@ -28,6 +28,7 @@ from conftest import (
     INPUTS,
     FIXTURES,
     agreement_dfs,
+    err_point,
     first_error,
     grammar_of,
     lexspec_of,
@@ -39,14 +40,6 @@ from conftest import (
 I = lambda t: Repair("insert", t)
 D = Repair("delete")
 S = Repair("shift")
-
-
-def err_point(stem, names):
-    t = table_of(stem)
-    toks = synth_toks(t, names)
-    ids = [t.token_index[x.type] for x in toks]
-    stack, idx = first_error(t, ids)
-    return t, stack, ids, idx
 
 
 def done(n, slug):

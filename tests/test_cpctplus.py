@@ -26,21 +26,15 @@ from lrfix import cpctplus
 from lrfix.lrtable import ACCEPT_CELL
 from lrfix.parser import RECOVERERS, drive
 
-from conftest import INPUTS, first_error, grammar_of, small_grammars, synth_toks, table_of, toks_of
+from conftest import (
+    INPUTS, err_point, first_error, grammar_of, small_grammars, synth_toks, table_of, toks_of,
+)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 I = lambda t: Repair("insert", t)
 D = Repair("delete")
 S = Repair("shift")
-
-
-def err_point(stem, names):
-    t = table_of(stem)
-    toks = synth_toks(t, names)
-    ids = [t.token_index[x.type] for x in toks]
-    stack, idx = first_error(t, ids)
-    return t, stack, ids, idx
 
 
 def test_dangling_operand_inserts_int():
@@ -545,20 +539,16 @@ def weighted_cost(tok):
     return WEIGHTS.get(tok, 1)
 
 
-# Canonical order is the only order, so ``deterministic`` is ``ranked``
-# again, and ``weighted_deterministic`` is the weighted ranked mode; the two
-# keep the names of the modes that once asked for that order.
 SEARCH_MODES = {
     "ranked": {},
-    "deterministic": {},
     "style1": {"shift_style": 1},
     "style2": {"shift_style": 2},
     "style3": {"shift_style": 3},
     "unmerged": {"merge": False},
-    "weighted_deterministic": {"params": RecoveryParams(insert_cost=weighted_cost)},
+    "weighted_ranked": {"params": RecoveryParams(insert_cost=weighted_cost)},
     "weighted_style3": {"params": RecoveryParams(insert_cost=weighted_cost), "shift_style": 3},
 }
-RANKED_MODES = ("ranked", "deterministic", "weighted_deterministic")
+RANKED_MODES = ("ranked", "weighted_ranked")
 
 
 @functools.lru_cache(maxsize=None)
@@ -598,53 +588,46 @@ def search_outcome(name, mode):
 # left out.
 GOLDEN_OUTCOMES = {
     ("calc_bad", "ranked"): "d7cc6b0e32c0ac42c0a466102439d9454e53f92f4f125c73c5040b9e8c2ac277",
-    ("calc_bad", "deterministic"): "d7cc6b0e32c0ac42c0a466102439d9454e53f92f4f125c73c5040b9e8c2ac277",
     ("calc_bad", "style2"): "ab98ebf9436769216814b2e7ca13de9b85f6286daf8d31cb9517be8e4f0cb9e0",
     ("calc_bad", "style3"): "225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f",
     ("calc_bad", "unmerged"): "225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f",
     ("calc_double_plus", "ranked"): "c2aabd8d50444d49afb276ffc5706147f7bbef3c2a60edc453c50f57f9eb7e5a",
-    ("calc_double_plus", "deterministic"): "c2aabd8d50444d49afb276ffc5706147f7bbef3c2a60edc453c50f57f9eb7e5a",
     ("calc_double_plus", "style1"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
     ("calc_double_plus", "style2"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
     ("calc_double_plus", "style3"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
     ("calc_double_plus", "unmerged"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
     ("mini_java_bad", "ranked"): "408844ccbd4b5e7ea61d69b004738e16d4366cc19b7405a7e85aa33bda49fb7e",
-    ("mini_java_bad", "deterministic"): "408844ccbd4b5e7ea61d69b004738e16d4366cc19b7405a7e85aa33bda49fb7e",
     ("mini_java_bad", "style1"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
     ("mini_java_bad", "style2"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
     ("mini_java_bad", "style3"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
     ("mini_java_bad", "unmerged"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
     ("clike_open_paren", "ranked"): "5c49028aa53823fce01eba568312ce571186ff019fce285e2ca1706aa6948724",
-    ("clike_open_paren", "deterministic"): "5c49028aa53823fce01eba568312ce571186ff019fce285e2ca1706aa6948724",
     ("clike_open_paren", "style1"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
     ("clike_open_paren", "style2"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
     ("clike_open_paren", "style3"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
     ("clike_open_paren", "unmerged"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
     ("clike_if_assign", "ranked"): "5db3b5770b27e422b76062e0ab420fe1888db66ed25761402d938b0256b12efc",
-    ("clike_if_assign", "deterministic"): "5db3b5770b27e422b76062e0ab420fe1888db66ed25761402d938b0256b12efc",
     ("clike_if_assign", "style1"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
     ("clike_if_assign", "style2"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
     ("clike_if_assign", "style3"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
     ("clike_if_assign", "unmerged"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
     ("clike_closed_paren", "ranked"): "af506726920e6c0d4a4ad3a4d2fa7fb80277a8907beea8d404c54dd3d9556030",
-    ("clike_closed_paren", "deterministic"): "af506726920e6c0d4a4ad3a4d2fa7fb80277a8907beea8d404c54dd3d9556030",
     ("clike_closed_paren", "style1"): "70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b",
     ("clike_closed_paren", "style2"): "70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b",
     ("clike_closed_paren", "style3"): "52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d",
     ("clike_closed_paren", "unmerged"): "52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d",
     ("clike_three_ids", "ranked"): "33094bd4787aa667fe9e14c58f1dbf13b0162ceb5a9646e5f31d2a5964288345",
-    ("clike_three_ids", "deterministic"): "33094bd4787aa667fe9e14c58f1dbf13b0162ceb5a9646e5f31d2a5964288345",
     ("clike_three_ids", "style1"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
     ("clike_three_ids", "style2"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
     ("clike_three_ids", "style3"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
     ("clike_three_ids", "unmerged"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
-    ("calc_bad", "weighted_deterministic"): "7af5d8432a2d1ef6f0d1ee72105557851daa8b71621afede5d8ac0527d671ea9",
+    ("calc_bad", "weighted_ranked"): "7af5d8432a2d1ef6f0d1ee72105557851daa8b71621afede5d8ac0527d671ea9",
     ("calc_bad", "weighted_style3"): "514b552098c01af271511cec33588440538e760aa162a4e5aabfd795b5ea11b2",
-    ("calc_double_plus", "weighted_deterministic"): "771406b2a4fce5e1fd3c37fd266a849de00dd6bf8f2f064fe70f1096ca738b24",
+    ("calc_double_plus", "weighted_ranked"): "771406b2a4fce5e1fd3c37fd266a849de00dd6bf8f2f064fe70f1096ca738b24",
     ("calc_double_plus", "weighted_style3"): "a91be2d6a6bb9ad5c0108afac2b6a33c4c31821619eeeb6622902919d06a433e",
-    ("clike_open_paren", "weighted_deterministic"): "520c94d73e726f710eadf29d362fc901731065222ec6ce2164a357ebc2766fdd",
+    ("clike_open_paren", "weighted_ranked"): "520c94d73e726f710eadf29d362fc901731065222ec6ce2164a357ebc2766fdd",
     ("clike_open_paren", "weighted_style3"): "df6d25de06049ac7519d7c5a8526ef591fd533ba6db575010b9f994f57270d77",
-    ("clike_if_assign", "weighted_deterministic"): "1fc2238bc614d8ce4251ff3b6952ad19a9ca2402980686a1ae3158ed21ecd476",
+    ("clike_if_assign", "weighted_ranked"): "1fc2238bc614d8ce4251ff3b6952ad19a9ca2402980686a1ae3158ed21ecd476",
     ("clike_if_assign", "weighted_style3"): "acfcf1da0aa5a5252c641cc2d059f1423c0be5e05ab046842eb68f7cbfdbe224",
 }
 
@@ -653,53 +636,46 @@ GOLDEN_OUTCOMES = {
 # the search folds paths together, not on the answer.
 GOLDEN_SUCCESS_CONFIGS = {
     ("calc_bad", "ranked"): 2,
-    ("calc_bad", "deterministic"): 2,
     ("calc_bad", "style2"): 2,
     ("calc_bad", "style3"): 2,
     ("calc_bad", "unmerged"): 6,
     ("calc_double_plus", "ranked"): 2,
-    ("calc_double_plus", "deterministic"): 2,
     ("calc_double_plus", "style1"): 2,
     ("calc_double_plus", "style2"): 2,
     ("calc_double_plus", "style3"): 2,
     ("calc_double_plus", "unmerged"): 2,
     ("mini_java_bad", "ranked"): 2,
-    ("mini_java_bad", "deterministic"): 2,
     ("mini_java_bad", "style1"): 2,
     ("mini_java_bad", "style2"): 2,
     ("mini_java_bad", "style3"): 2,
     ("mini_java_bad", "unmerged"): 3,
     ("clike_open_paren", "ranked"): 1,
-    ("clike_open_paren", "deterministic"): 1,
     ("clike_open_paren", "style1"): 1,
     ("clike_open_paren", "style2"): 1,
     ("clike_open_paren", "style3"): 1,
     ("clike_open_paren", "unmerged"): 3,
     ("clike_if_assign", "ranked"): 1,
-    ("clike_if_assign", "deterministic"): 1,
     ("clike_if_assign", "style1"): 1,
     ("clike_if_assign", "style2"): 1,
     ("clike_if_assign", "style3"): 1,
     ("clike_if_assign", "unmerged"): 6,
     ("clike_closed_paren", "ranked"): 1,
-    ("clike_closed_paren", "deterministic"): 1,
     ("clike_closed_paren", "style1"): 1,
     ("clike_closed_paren", "style2"): 1,
     ("clike_closed_paren", "style3"): 1,
     ("clike_closed_paren", "unmerged"): 12,
     ("clike_three_ids", "ranked"): 3,
-    ("clike_three_ids", "deterministic"): 3,
     ("clike_three_ids", "style1"): 3,
     ("clike_three_ids", "style2"): 3,
     ("clike_three_ids", "style3"): 3,
     ("clike_three_ids", "unmerged"): 401,
-    ("calc_bad", "weighted_deterministic"): 1,
+    ("calc_bad", "weighted_ranked"): 1,
     ("calc_bad", "weighted_style3"): 1,
-    ("calc_double_plus", "weighted_deterministic"): 1,
+    ("calc_double_plus", "weighted_ranked"): 1,
     ("calc_double_plus", "weighted_style3"): 1,
-    ("clike_open_paren", "weighted_deterministic"): 1,
+    ("clike_open_paren", "weighted_ranked"): 1,
     ("clike_open_paren", "weighted_style3"): 1,
-    ("clike_if_assign", "weighted_deterministic"): 1,
+    ("clike_if_assign", "weighted_ranked"): 1,
     ("clike_if_assign", "weighted_style3"): 1,
 }
 
@@ -707,53 +683,46 @@ GOLDEN_SUCCESS_CONFIGS = {
 # depends on how much of the frontier is built beyond the minimum cost.
 GOLDEN_MERGES = {
     ("calc_bad", "ranked"): 5,
-    ("calc_bad", "deterministic"): 5,
     ("calc_bad", "style2"): 3,
     ("calc_bad", "style3"): 5,
     ("calc_bad", "unmerged"): 0,
     ("calc_double_plus", "ranked"): 0,
-    ("calc_double_plus", "deterministic"): 0,
     ("calc_double_plus", "style1"): 0,
     ("calc_double_plus", "style2"): 0,
     ("calc_double_plus", "style3"): 0,
     ("calc_double_plus", "unmerged"): 0,
     ("mini_java_bad", "ranked"): 1,
-    ("mini_java_bad", "deterministic"): 1,
     ("mini_java_bad", "style1"): 1,
     ("mini_java_bad", "style2"): 1,
     ("mini_java_bad", "style3"): 1,
     ("mini_java_bad", "unmerged"): 0,
     ("clike_open_paren", "ranked"): 44,
-    ("clike_open_paren", "deterministic"): 44,
     ("clike_open_paren", "style1"): 44,
     ("clike_open_paren", "style2"): 44,
     ("clike_open_paren", "style3"): 44,
     ("clike_open_paren", "unmerged"): 0,
     ("clike_if_assign", "ranked"): 147,
-    ("clike_if_assign", "deterministic"): 147,
     ("clike_if_assign", "style1"): 147,
     ("clike_if_assign", "style2"): 147,
     ("clike_if_assign", "style3"): 147,
     ("clike_if_assign", "unmerged"): 0,
     ("clike_closed_paren", "ranked"): 55,
-    ("clike_closed_paren", "deterministic"): 55,
     ("clike_closed_paren", "style1"): 53,
     ("clike_closed_paren", "style2"): 53,
     ("clike_closed_paren", "style3"): 55,
     ("clike_closed_paren", "unmerged"): 0,
     ("clike_three_ids", "ranked"): 406,
-    ("clike_three_ids", "deterministic"): 406,
     ("clike_three_ids", "style1"): 406,
     ("clike_three_ids", "style2"): 406,
     ("clike_three_ids", "style3"): 406,
     ("clike_three_ids", "unmerged"): 0,
-    ("calc_bad", "weighted_deterministic"): 4,
+    ("calc_bad", "weighted_ranked"): 4,
     ("calc_bad", "weighted_style3"): 4,
-    ("calc_double_plus", "weighted_deterministic"): 0,
+    ("calc_double_plus", "weighted_ranked"): 0,
     ("calc_double_plus", "weighted_style3"): 0,
-    ("clike_open_paren", "weighted_deterministic"): 0,
+    ("clike_open_paren", "weighted_ranked"): 0,
     ("clike_open_paren", "weighted_style3"): 0,
-    ("clike_if_assign", "weighted_deterministic"): 1,
+    ("clike_if_assign", "weighted_ranked"): 1,
     ("clike_if_assign", "weighted_style3"): 1,
 }
 

@@ -105,8 +105,8 @@ def test_line_index_matches_naive_count(text, data):
 
 
 def reference_lex(rules, src):
-    """The lexer before its literal table: every rule tried at every
-    position, longest match wins, ties go to the earliest rule."""
+    """The lexer without first-character dispatch: every rule tried at
+    every position, longest match wins, ties go to the earliest rule."""
     toks = []
     pos = 0
     while pos < len(src):
@@ -175,7 +175,7 @@ RULE_POOL = [
 
 
 @given(st.lists(st.sampled_from(RULE_POOL), min_size=1, max_size=10), st.data())
-def test_literal_table_lexes_like_trying_every_rule(rules, data):
+def test_first_character_dispatch_lexes_like_trying_every_rule(rules, data):
     spec = LexSpec.parse("\n".join(line for line, _ in rules))
     # Runs of text the drawn rules match, so that ties between
     # equal-length matches come up often; sometimes an '@', which no
@@ -186,24 +186,22 @@ def test_literal_table_lexes_like_trying_every_rule(rules, data):
     assert_lexes_like_reference(spec, "".join(pieces))
 
 
-def test_clike_rules_split_into_literals_and_regexes():
-    # A silent fallback to trying every rule as a regex would show here.
-    spec = LexSpec.parse((PERFBENCH / "clike.l").read_text(encoding="utf-8"))
-    assert sum(map(len, spec._literals.values())) == 41
-    assert len(spec._regexes) == 6
-
-
 def test_clike_regexes_have_finite_first_characters():
-    # A silent fallback to trying a regex at every character would show here.
+    # A silent fallback to trying a rule at every character would show here.
     spec = LexSpec.parse((PERFBENCH / "clike.l").read_text(encoding="utf-8"))
-    assert {rx.pattern: _first_chars(rx) for rx, _, _ in spec._regexes} == {
-        r"[A-Za-z_][A-Za-z0-9_]*": frozenset(string.ascii_letters + "_"),
-        r"[0-9]+": frozenset(string.digits),
-        r'"[^"\\\n]*"': frozenset('"'),
-        r"//[^\n]*": frozenset("/"),
-        r"/\*([^*]|\*+[^*/])*\*+/": frozenset("/"),
-        r"[ \t\n]+": frozenset(" \t\n"),
+    regexes = {
+        r"[A-Za-z_][A-Za-z0-9_]*": string.ascii_letters + "_",
+        r"[0-9]+": string.digits,
+        r'"[^"\\\n]*"': '"',
+        r"//[^\n]*": "/",
+        r"/\*([^*]|\*+[^*/])*\*+/": "/",
+        r"[ \t\n]+": " \t\n",
     }
+    assert len(spec.rules) == 47
+    for rx, _ in spec.rules:
+        # Every other rule is a literal, possibly escaped: its first character.
+        first = regexes.get(rx.pattern, rx.pattern.lstrip("\\")[:1])
+        assert _first_chars(rx) == frozenset(first), rx.pattern
     assert spec._anywhere == []
 
 
@@ -248,8 +246,7 @@ def test_first_characters_or_fallback(pattern, first):
         re.compile(r"a*"),            # matches empty: tried everywhere, never wins
     ],
 )
-def test_patterns_that_are_not_plain_literals_stay_regexes(rx):
+def test_patterns_with_regex_syntax_lex_like_trying_every_rule(rx):
     spec = LexSpec([(rx, "X"), (re.compile("[ \n]+"), None)])
-    assert spec._literals == {}
     for src in ["\n", "a", "IF if", "aa", "a]", "_"]:
         assert_lexes_like_reference(spec, src)
