@@ -545,10 +545,10 @@ SEARCH_MODES = {
     "style2": {"shift_style": 2},
     "style3": {"shift_style": 3},
     "unmerged": {"merge": False},
-    "weighted_ranked": {"params": RecoveryParams(insert_cost=weighted_cost)},
+    "weighted_deterministic": {"params": RecoveryParams(insert_cost=weighted_cost)},
     "weighted_style3": {"params": RecoveryParams(insert_cost=weighted_cost), "shift_style": 3},
 }
-RANKED_MODES = ("ranked", "weighted_ranked")
+RANKED_MODES = ("ranked", "weighted_deterministic")
 
 
 @functools.lru_cache(maxsize=None)
@@ -621,13 +621,13 @@ GOLDEN_OUTCOMES = {
     ("clike_three_ids", "style2"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
     ("clike_three_ids", "style3"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
     ("clike_three_ids", "unmerged"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
-    ("calc_bad", "weighted_ranked"): "7af5d8432a2d1ef6f0d1ee72105557851daa8b71621afede5d8ac0527d671ea9",
+    ("calc_bad", "weighted_deterministic"): "7af5d8432a2d1ef6f0d1ee72105557851daa8b71621afede5d8ac0527d671ea9",
     ("calc_bad", "weighted_style3"): "514b552098c01af271511cec33588440538e760aa162a4e5aabfd795b5ea11b2",
-    ("calc_double_plus", "weighted_ranked"): "771406b2a4fce5e1fd3c37fd266a849de00dd6bf8f2f064fe70f1096ca738b24",
+    ("calc_double_plus", "weighted_deterministic"): "771406b2a4fce5e1fd3c37fd266a849de00dd6bf8f2f064fe70f1096ca738b24",
     ("calc_double_plus", "weighted_style3"): "a91be2d6a6bb9ad5c0108afac2b6a33c4c31821619eeeb6622902919d06a433e",
-    ("clike_open_paren", "weighted_ranked"): "520c94d73e726f710eadf29d362fc901731065222ec6ce2164a357ebc2766fdd",
+    ("clike_open_paren", "weighted_deterministic"): "520c94d73e726f710eadf29d362fc901731065222ec6ce2164a357ebc2766fdd",
     ("clike_open_paren", "weighted_style3"): "df6d25de06049ac7519d7c5a8526ef591fd533ba6db575010b9f994f57270d77",
-    ("clike_if_assign", "weighted_ranked"): "1fc2238bc614d8ce4251ff3b6952ad19a9ca2402980686a1ae3158ed21ecd476",
+    ("clike_if_assign", "weighted_deterministic"): "1fc2238bc614d8ce4251ff3b6952ad19a9ca2402980686a1ae3158ed21ecd476",
     ("clike_if_assign", "weighted_style3"): "acfcf1da0aa5a5252c641cc2d059f1423c0be5e05ab046842eb68f7cbfdbe224",
 }
 
@@ -669,13 +669,13 @@ GOLDEN_SUCCESS_CONFIGS = {
     ("clike_three_ids", "style2"): 3,
     ("clike_three_ids", "style3"): 3,
     ("clike_three_ids", "unmerged"): 401,
-    ("calc_bad", "weighted_ranked"): 1,
+    ("calc_bad", "weighted_deterministic"): 1,
     ("calc_bad", "weighted_style3"): 1,
-    ("calc_double_plus", "weighted_ranked"): 1,
+    ("calc_double_plus", "weighted_deterministic"): 1,
     ("calc_double_plus", "weighted_style3"): 1,
-    ("clike_open_paren", "weighted_ranked"): 1,
+    ("clike_open_paren", "weighted_deterministic"): 1,
     ("clike_open_paren", "weighted_style3"): 1,
-    ("clike_if_assign", "weighted_ranked"): 1,
+    ("clike_if_assign", "weighted_deterministic"): 1,
     ("clike_if_assign", "weighted_style3"): 1,
 }
 
@@ -716,13 +716,13 @@ GOLDEN_MERGES = {
     ("clike_three_ids", "style2"): 406,
     ("clike_three_ids", "style3"): 406,
     ("clike_three_ids", "unmerged"): 0,
-    ("calc_bad", "weighted_ranked"): 4,
+    ("calc_bad", "weighted_deterministic"): 4,
     ("calc_bad", "weighted_style3"): 4,
-    ("calc_double_plus", "weighted_ranked"): 0,
+    ("calc_double_plus", "weighted_deterministic"): 0,
     ("calc_double_plus", "weighted_style3"): 0,
-    ("clike_open_paren", "weighted_ranked"): 0,
+    ("clike_open_paren", "weighted_deterministic"): 0,
     ("clike_open_paren", "weighted_style3"): 0,
-    ("clike_if_assign", "weighted_ranked"): 1,
+    ("clike_if_assign", "weighted_deterministic"): 1,
     ("clike_if_assign", "weighted_style3"): 1,
 }
 
