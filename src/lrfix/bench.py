@@ -37,8 +37,8 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
 from .cli import non_negative_int, token_mismatch
-from .grammar import Grammar, parse_grammar
-from .lexer import LexError, LexSpec
+from .grammar import Grammar, GrammarError, parse_grammar
+from .lexer import LexError, LexSpec, LexSpecError
 from .lrtable import build_tables
 from .parser import RECOVERERS, ParserInternalError, RecoveryParams, parse
 
@@ -426,19 +426,24 @@ def main(argv=None) -> int:
     )
     args = ap.parse_args(argv)
 
+    def complain(msg: str) -> int:
+        print(f"bench: {msg}", file=sys.stderr)
+        return 2
+
     if not Path(args.corpus).is_dir():
-        print(f"bench: corpus directory not found: {args.corpus}", file=sys.stderr)
-        return 2
-    try:
-        lexspec = LexSpec.parse(Path(args.lexer).read_text(encoding="utf-8"))
-        grammar = parse_grammar(Path(args.grammar).read_text(encoding="utf-8"))
-    except Exception as e:
-        print(f"bench: {e}", file=sys.stderr)
-        return 2
+        return complain(f"corpus directory not found: {args.corpus}")
+    loaded = []
+    for path, load in ((args.lexer, LexSpec.parse), (args.grammar, parse_grammar)):
+        try:
+            loaded.append(load(Path(path).read_text(encoding="utf-8")))
+        except OSError as e:
+            return complain(str(e))
+        except (UnicodeDecodeError, LexSpecError, GrammarError) as e:
+            return complain(f"{path}: {e}")
+    lexspec, grammar = loaded
     mismatch = token_mismatch(lexspec, grammar, args.lexer, args.grammar)
     if mismatch:
-        print(f"bench: {mismatch}", file=sys.stderr)
-        return 2
+        return complain(mismatch)
 
     params = RecoveryParams(timeout_s=args.timeout / 1000.0)
     all_records: list[BenchRecord] = []
@@ -456,8 +461,7 @@ def main(argv=None) -> int:
                 skip_threshold_pct=args.skip_threshold,
             )
         except ParserInternalError as e:
-            print(f"bench: {rec}: parsing failed: {e}", file=sys.stderr)
-            return 2
+            return complain(f"{rec}: parsing failed: {e}")
         wall = time.monotonic() - t0
         if args.bootstrap > 0 and records:
             summary.intervals = bootstrap(

@@ -117,8 +117,8 @@ def _unquote(lit: str) -> str:
 
 
 def _scan(src: str):
-    """Yield (kind, text, line) triples; actions and %{...%} blocks are
-    consumed here so the parser below never sees them."""
+    """Return the list of (kind, text, line) triples; actions and %{...%}
+    blocks are consumed here so the parser below never sees them."""
     toks = []
     pos = 0
     line = 1

@@ -95,7 +95,8 @@ def render_repairs(seq: list[Repair], src: str, toks: list[Token], offset: int) 
 
 @dataclass
 class RecoveryParams:
-    """Tuning knobs shared by the repair-searching recoverers."""
+    """Recovery knobs: ``timeout_s`` bounds every recoverer; the rest tune
+    the repair search."""
 
     n_shifts: int = 3          # trailing shifts that count as resynchronized
     n_try: int = 250           # tokens a candidate repair is test-parsed over
@@ -256,24 +257,19 @@ def drive(
 def lr_step(table: StateTable, stack: list[int], token: str):
     """Apply one action for ``token`` to ``stack`` (mutating it).
 
-    Returns the action as a tuple: ("shift", s), ("reduce", p), ("accept",)
-    or ("error",).  A reduce pops the handle and pushes the goto state; a
-    shift pushes the target state.
+    Returns the action as ``table.action`` decodes it: ("shift", s),
+    ("reduce", p), ("accept",) or ("error",).  A reduce pops the handle and
+    pushes the goto state; a shift pushes the target state.
     """
-    cell = table.act[stack[-1]][table.token_index[token]]
-    if cell == ERROR_CELL:
-        return ("error",)
-    if cell == ACCEPT_CELL:
-        return ("accept",)
-    arg = cell >> 2
-    if cell & 3 == 2:
-        stack.append(arg)
-        return ("shift", arg)
-    arity = table.prod_arity[arg]
-    if arity:
-        del stack[-arity:]
-    stack.append(table.goto[stack[-1]][table.prod_rule[arg]])
-    return ("reduce", arg)
+    step = table.action(stack[-1], token)
+    if step[0] == "shift":
+        stack.append(step[1])
+    elif step[0] == "reduce":
+        arity = table.prod_arity[step[1]]
+        if arity:
+            del stack[-arity:]
+        stack.append(table.goto[stack[-1]][table.prod_rule[step[1]]])
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +371,7 @@ def parse(
             report.skipped = new_idx - idx
             report.popped = len(stack) - len(new_stack)
             stats.skipped += report.skipped
-            del forest[max(len(new_stack) - 1, 0) :]
+            del forest[len(new_stack) - 1 :]
             stack = new_stack
             idx = new_idx
             continue

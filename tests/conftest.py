@@ -4,9 +4,10 @@ import pathlib
 import pytest
 from hypothesis import strategies as st
 
-from lrfix import LexSpec, build_tables, lr_step, parse_grammar
+from lrfix import LexSpec, build_tables, parse_grammar
 from lrfix.lexer import Token
 from lrfix.lrtable import StateTable
+from lrfix.parser import drive
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 INPUTS = FIXTURES / "inputs"
@@ -41,16 +42,8 @@ def synth_toks(table: StateTable, names: list[str]) -> list[Token]:
 def first_error(table: StateTable, tok_ids: list[int]):
     """Drive the raw tables to the first error; (stack, offset) or None."""
     stack = [0]
-    idx = 0
-    while True:
-        tok = table.tokens[tok_ids[idx]]
-        step = lr_step(table, stack, tok)
-        if step[0] == "error":
-            return stack, idx
-        if step[0] == "accept":
-            return None
-        if step[0] == "shift":
-            idx += 1
+    idx, accepted = drive(table, stack, tok_ids, 0, len(tok_ids))
+    return None if accepted else (stack, idx)
 
 
 def err_point(stem: str, names: list[str]):
@@ -68,15 +61,10 @@ def agreement_dfs(tc, tm, alphabet, max_len):
     exactly the same continuations and the same acceptance at EOF."""
 
     def try_token(table, stack, tok):
+        """Return "accept", the stack after shifting ``tok``, or None."""
         st = list(stack)
-        while True:
-            r = lr_step(table, st, tok)
-            if r[0] == "error":
-                return None
-            if r[0] == "accept":
-                return "accept"
-            if r[0] == "shift":
-                return st
+        idx, accepted = drive(table, st, [table.token_index[tok]], 0, 1)
+        return "accept" if accepted else st if idx else None
 
     seen = 0
 

@@ -177,14 +177,11 @@ def test_criterion_06_merged_tables_match_canonical():
 
 
 def test_criterion_07_unrepairable_input_fails_within_budget():
-    t = table_of("bracket_heavy")
     # Twenty unmatched opens: the cheapest repair inserts twenty closes,
     # and every cheaper configuration comes first, so no search within the
     # budget finds it (ten opens are repaired in about a second).
     names = list("([{([{([{([{([{([{([")
-    toks = synth_toks(t, names)
-    ids = [t.token_index[x.type] for x in toks]
-    stack, idx = first_error(t, ids)
+    t, stack, ids, idx = err_point("bracket_heavy", names)
     assert idx == len(names)            # the error is at end of input
 
     tracemalloc.start()
@@ -199,7 +196,7 @@ def test_criterion_07_unrepairable_input_fails_within_budget():
     assert peak < 256 * 2**20, f"peak traced memory {peak / 2**20:.0f} MiB"
 
     src = "".join(names)
-    r = parse(t, toks, src, params=RecoveryParams(timeout_s=0.5))
+    r = parse(t, synth_toks(t, names), src, params=RecoveryParams(timeout_s=0.5))
     assert not r.success
     assert r.stats.recovery_time_s <= 0.55
     done(7, "hopeless input fails inside 500ms + 50ms, memory bounded")

@@ -296,6 +296,19 @@ def test_main_rejects_a_lexer_token_the_grammar_lacks(tmp_path, capsys):
     )
 
 
+def test_main_names_the_file_of_a_bad_lexer_or_grammar(tmp_path, capsys):
+    lx = tmp_path / "bad.l"
+    lx.write_text("[0-9 INT\n")
+    g = tmp_path / "bad.y"
+    g.write_text("%token x\n%%\nS: x @;\n")
+    assert main([str(lx), str(FIXTURES / "calc.y"), str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"bench: {lx}: line 1: bad pattern: unterminated character set at position 0\n"
+    )
+    assert main([str(FIXTURES / "calc.l"), str(g), str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"bench: {g}: line 3: unexpected character '@'\n"
+
+
 def test_main_rejects_a_negative_timeout(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main([*STMT_ARGS, str(tmp_path), "--timeout", "-1"])

@@ -68,6 +68,16 @@ def test_missing_operator_full_sequence_set():
     assert raw.merges > 0
 
 
+def test_both_entry_points_at_a_point_with_no_error():
+    # The raw search finds the empty repair at cost 0, as the oracle does;
+    # repair_search, which must apply a repair, reports none.
+    t = table_of("calc")
+    ids = [t.token_index[x.type] for x in synth_toks(t, ["INT", "+", "INT", "+", "INT"])]
+    raw = min_repair_sequences(t, [0], ids, 0)
+    assert (raw.cost, raw.sequences) == oracle_min_repairs(t, [0], ids, 0) == (0, set())
+    assert repair_search(t, [0], ids, 0) is None
+
+
 def test_sequences_never_end_with_shift():
     for names in (["INT", "INT", "+"], ["INT", "+"], ["INT", "+", "+", "INT"]):
         t, stack, ids, idx = err_point("calc", names)
@@ -269,9 +279,7 @@ def test_equal_stacks_reached_along_different_paths_get_one_ref():
     assert bare != nested
     assert under_plus(bare) == under_plus(nested)
     expect = [0]
-    for tok in ("INT", "+"):
-        while lr_step(t, expect, tok)[0] == "reduce":
-            pass
+    drive(t, expect, [t.token_index["INT"], plus], 0, 2)
     expect.pop()  # the shift of '+'
     assert search.stack_list(under_plus(nested)) == expect
     pushed = expect[0]
@@ -296,9 +304,7 @@ def test_a_configuration_costs_few_bytes():
     # stacks, keys and the repair DAG are plain ints (about 200 bytes a
     # configuration here, against about 500 with an object per stack node,
     # key and repair node).
-    t = table_of("bracket_heavy")
-    ids = [t.token_index[x.type] for x in synth_toks(t, list("([{([{([{([{([{([{(["))]
-    stack, idx = first_error(t, ids)
+    t, stack, ids, idx = err_point("bracket_heavy", list("([{([{([{([{([{([{(["))
     tracemalloc.start()
     try:
         search = cpctplus._Search(t, stack, ids, idx, RecoveryParams(), 0.5, 3, True)
@@ -398,9 +404,7 @@ def test_no_repair_is_reported_that_does_not_replay(name):
     t = build_tables(parse_grammar(grammar))
     toks = synth_toks(t, text.split())
     ids = [t.token_index[x.type] for x in toks]
-    stack = [0]
-    idx, accepted = drive(t, stack, ids, 0, len(ids))
-    assert not accepted
+    stack, idx = first_error(t, ids)
     for style in (1, 2, 3):
         assert min_repair_sequences(t, stack, ids, idx, budget_s=0.2, shift_style=style) is None
     assert oracle_min_repairs(t, list(stack), ids, idx) is None
@@ -476,16 +480,16 @@ def test_search_equals_oracle_on_small_grammars(case, merge, merge_search, data)
             parse(t, toks, recoverer=recoverer, params=quick)
         except ParserInternalError:
             pass
-    # drive, unlike first_error, stops a runaway reduce chain.
-    stack = [0]
+    # first_error drives through drive, which stops a runaway reduce chain.
     try:
-        idx, accepted = drive(t, stack, ids, 0, len(ids))
-        found = None if accepted else oracle_min_repairs(
-            t, list(stack), ids, idx, cost_bound=3, insert_cost=insert_cost)
+        hit = first_error(t, ids)
+        found = hit and oracle_min_repairs(
+            t, list(hit[0]), ids, hit[1], cost_bound=3, insert_cost=insert_cost)
     except ParserInternalError:
         return
     if found is None:
         return  # searching to the budget here would dominate the test's time
+    stack, idx = hit
     raw = min_repair_sequences(t, stack, ids, idx, params, budget_s=5, merge=merge_search)
     assert (raw.cost, raw.sequences) == found
     for seq in raw.sequences:
@@ -583,162 +587,68 @@ def search_outcome(name, mode):
     return (raw.cost, sorted(raw.sequences, key=repr), None), raw.success_configs, raw.merges
 
 
-# sha256 of each outcome's repr.  Shift style 1 finds no repair for
-# calc_bad and searches until its budget runs out, so that one pair is
-# left out.
-GOLDEN_OUTCOMES = {
-    ("calc_bad", "ranked"): "d7cc6b0e32c0ac42c0a466102439d9454e53f92f4f125c73c5040b9e8c2ac277",
-    ("calc_bad", "style2"): "ab98ebf9436769216814b2e7ca13de9b85f6286daf8d31cb9517be8e4f0cb9e0",
-    ("calc_bad", "style3"): "225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f",
-    ("calc_bad", "unmerged"): "225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f",
-    ("calc_double_plus", "ranked"): "c2aabd8d50444d49afb276ffc5706147f7bbef3c2a60edc453c50f57f9eb7e5a",
-    ("calc_double_plus", "style1"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
-    ("calc_double_plus", "style2"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
-    ("calc_double_plus", "style3"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
-    ("calc_double_plus", "unmerged"): "7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76",
-    ("mini_java_bad", "ranked"): "408844ccbd4b5e7ea61d69b004738e16d4366cc19b7405a7e85aa33bda49fb7e",
-    ("mini_java_bad", "style1"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
-    ("mini_java_bad", "style2"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
-    ("mini_java_bad", "style3"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
-    ("mini_java_bad", "unmerged"): "ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0",
-    ("clike_open_paren", "ranked"): "5c49028aa53823fce01eba568312ce571186ff019fce285e2ca1706aa6948724",
-    ("clike_open_paren", "style1"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
-    ("clike_open_paren", "style2"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
-    ("clike_open_paren", "style3"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
-    ("clike_open_paren", "unmerged"): "461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b",
-    ("clike_if_assign", "ranked"): "5db3b5770b27e422b76062e0ab420fe1888db66ed25761402d938b0256b12efc",
-    ("clike_if_assign", "style1"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
-    ("clike_if_assign", "style2"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
-    ("clike_if_assign", "style3"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
-    ("clike_if_assign", "unmerged"): "e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6",
-    ("clike_closed_paren", "ranked"): "af506726920e6c0d4a4ad3a4d2fa7fb80277a8907beea8d404c54dd3d9556030",
-    ("clike_closed_paren", "style1"): "70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b",
-    ("clike_closed_paren", "style2"): "70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b",
-    ("clike_closed_paren", "style3"): "52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d",
-    ("clike_closed_paren", "unmerged"): "52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d",
-    ("clike_three_ids", "ranked"): "33094bd4787aa667fe9e14c58f1dbf13b0162ceb5a9646e5f31d2a5964288345",
-    ("clike_three_ids", "style1"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
-    ("clike_three_ids", "style2"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
-    ("clike_three_ids", "style3"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
-    ("clike_three_ids", "unmerged"): "97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81",
-    ("calc_bad", "weighted_deterministic"): "7af5d8432a2d1ef6f0d1ee72105557851daa8b71621afede5d8ac0527d671ea9",
-    ("calc_bad", "weighted_style3"): "514b552098c01af271511cec33588440538e760aa162a4e5aabfd795b5ea11b2",
-    ("calc_double_plus", "weighted_deterministic"): "771406b2a4fce5e1fd3c37fd266a849de00dd6bf8f2f064fe70f1096ca738b24",
-    ("calc_double_plus", "weighted_style3"): "a91be2d6a6bb9ad5c0108afac2b6a33c4c31821619eeeb6622902919d06a433e",
-    ("clike_open_paren", "weighted_deterministic"): "520c94d73e726f710eadf29d362fc901731065222ec6ce2164a357ebc2766fdd",
-    ("clike_open_paren", "weighted_style3"): "df6d25de06049ac7519d7c5a8526ef591fd533ba6db575010b9f994f57270d77",
-    ("clike_if_assign", "weighted_deterministic"): "1fc2238bc614d8ce4251ff3b6952ad19a9ca2402980686a1ae3158ed21ecd476",
-    ("clike_if_assign", "weighted_style3"): "acfcf1da0aa5a5252c641cc2d059f1423c0be5e05ab046842eb68f7cbfdbe224",
-}
-
-# Success configurations before ranking: the distinct minimum-cost
-# configurations that succeeded.  Like the merge count, this depends on how
-# the search folds paths together, not on the answer.
-GOLDEN_SUCCESS_CONFIGS = {
-    ("calc_bad", "ranked"): 2,
-    ("calc_bad", "style2"): 2,
-    ("calc_bad", "style3"): 2,
-    ("calc_bad", "unmerged"): 6,
-    ("calc_double_plus", "ranked"): 2,
-    ("calc_double_plus", "style1"): 2,
-    ("calc_double_plus", "style2"): 2,
-    ("calc_double_plus", "style3"): 2,
-    ("calc_double_plus", "unmerged"): 2,
-    ("mini_java_bad", "ranked"): 2,
-    ("mini_java_bad", "style1"): 2,
-    ("mini_java_bad", "style2"): 2,
-    ("mini_java_bad", "style3"): 2,
-    ("mini_java_bad", "unmerged"): 3,
-    ("clike_open_paren", "ranked"): 1,
-    ("clike_open_paren", "style1"): 1,
-    ("clike_open_paren", "style2"): 1,
-    ("clike_open_paren", "style3"): 1,
-    ("clike_open_paren", "unmerged"): 3,
-    ("clike_if_assign", "ranked"): 1,
-    ("clike_if_assign", "style1"): 1,
-    ("clike_if_assign", "style2"): 1,
-    ("clike_if_assign", "style3"): 1,
-    ("clike_if_assign", "unmerged"): 6,
-    ("clike_closed_paren", "ranked"): 1,
-    ("clike_closed_paren", "style1"): 1,
-    ("clike_closed_paren", "style2"): 1,
-    ("clike_closed_paren", "style3"): 1,
-    ("clike_closed_paren", "unmerged"): 12,
-    ("clike_three_ids", "ranked"): 3,
-    ("clike_three_ids", "style1"): 3,
-    ("clike_three_ids", "style2"): 3,
-    ("clike_three_ids", "style3"): 3,
-    ("clike_three_ids", "unmerged"): 401,
-    ("calc_bad", "weighted_deterministic"): 1,
-    ("calc_bad", "weighted_style3"): 1,
-    ("calc_double_plus", "weighted_deterministic"): 1,
-    ("calc_double_plus", "weighted_style3"): 1,
-    ("clike_open_paren", "weighted_deterministic"): 1,
-    ("clike_open_paren", "weighted_style3"): 1,
-    ("clike_if_assign", "weighted_deterministic"): 1,
-    ("clike_if_assign", "weighted_style3"): 1,
-}
-
-# Merges made before the search stopped.  Unlike the outcome, this count
-# depends on how much of the frontier is built beyond the minimum cost.
-GOLDEN_MERGES = {
-    ("calc_bad", "ranked"): 5,
-    ("calc_bad", "style2"): 3,
-    ("calc_bad", "style3"): 5,
-    ("calc_bad", "unmerged"): 0,
-    ("calc_double_plus", "ranked"): 0,
-    ("calc_double_plus", "style1"): 0,
-    ("calc_double_plus", "style2"): 0,
-    ("calc_double_plus", "style3"): 0,
-    ("calc_double_plus", "unmerged"): 0,
-    ("mini_java_bad", "ranked"): 1,
-    ("mini_java_bad", "style1"): 1,
-    ("mini_java_bad", "style2"): 1,
-    ("mini_java_bad", "style3"): 1,
-    ("mini_java_bad", "unmerged"): 0,
-    ("clike_open_paren", "ranked"): 44,
-    ("clike_open_paren", "style1"): 44,
-    ("clike_open_paren", "style2"): 44,
-    ("clike_open_paren", "style3"): 44,
-    ("clike_open_paren", "unmerged"): 0,
-    ("clike_if_assign", "ranked"): 147,
-    ("clike_if_assign", "style1"): 147,
-    ("clike_if_assign", "style2"): 147,
-    ("clike_if_assign", "style3"): 147,
-    ("clike_if_assign", "unmerged"): 0,
-    ("clike_closed_paren", "ranked"): 55,
-    ("clike_closed_paren", "style1"): 53,
-    ("clike_closed_paren", "style2"): 53,
-    ("clike_closed_paren", "style3"): 55,
-    ("clike_closed_paren", "unmerged"): 0,
-    ("clike_three_ids", "ranked"): 406,
-    ("clike_three_ids", "style1"): 406,
-    ("clike_three_ids", "style2"): 406,
-    ("clike_three_ids", "style3"): 406,
-    ("clike_three_ids", "unmerged"): 0,
-    ("calc_bad", "weighted_deterministic"): 4,
-    ("calc_bad", "weighted_style3"): 4,
-    ("calc_double_plus", "weighted_deterministic"): 0,
-    ("calc_double_plus", "weighted_style3"): 0,
-    ("clike_open_paren", "weighted_deterministic"): 0,
-    ("clike_open_paren", "weighted_style3"): 0,
-    ("clike_if_assign", "weighted_deterministic"): 1,
-    ("clike_if_assign", "weighted_style3"): 1,
+# Each golden point and search mode: (sha256 of the outcome's repr,
+# success configurations, merges).  Unlike the outcome, both counts depend
+# on how the search folds paths together and how far past the minimum cost
+# it builds the frontier.  Shift style 1 finds no repair for calc_bad and
+# searches until its budget runs out, so that one pair is left out.
+GOLDEN_SEARCH = {
+    ("calc_bad", "ranked"): ("d7cc6b0e32c0ac42c0a466102439d9454e53f92f4f125c73c5040b9e8c2ac277", 2, 5),
+    ("calc_bad", "style2"): ("ab98ebf9436769216814b2e7ca13de9b85f6286daf8d31cb9517be8e4f0cb9e0", 2, 3),
+    ("calc_bad", "style3"): ("225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f", 2, 5),
+    ("calc_bad", "unmerged"): ("225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f", 6, 0),
+    ("calc_double_plus", "ranked"): ("c2aabd8d50444d49afb276ffc5706147f7bbef3c2a60edc453c50f57f9eb7e5a", 2, 0),
+    ("calc_double_plus", "style1"): ("7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76", 2, 0),
+    ("calc_double_plus", "style2"): ("7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76", 2, 0),
+    ("calc_double_plus", "style3"): ("7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76", 2, 0),
+    ("calc_double_plus", "unmerged"): ("7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76", 2, 0),
+    ("mini_java_bad", "ranked"): ("408844ccbd4b5e7ea61d69b004738e16d4366cc19b7405a7e85aa33bda49fb7e", 2, 1),
+    ("mini_java_bad", "style1"): ("ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0", 2, 1),
+    ("mini_java_bad", "style2"): ("ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0", 2, 1),
+    ("mini_java_bad", "style3"): ("ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0", 2, 1),
+    ("mini_java_bad", "unmerged"): ("ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0", 3, 0),
+    ("clike_open_paren", "ranked"): ("5c49028aa53823fce01eba568312ce571186ff019fce285e2ca1706aa6948724", 1, 44),
+    ("clike_open_paren", "style1"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 1, 44),
+    ("clike_open_paren", "style2"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 1, 44),
+    ("clike_open_paren", "style3"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 1, 44),
+    ("clike_open_paren", "unmerged"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 3, 0),
+    ("clike_if_assign", "ranked"): ("5db3b5770b27e422b76062e0ab420fe1888db66ed25761402d938b0256b12efc", 1, 147),
+    ("clike_if_assign", "style1"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 1, 147),
+    ("clike_if_assign", "style2"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 1, 147),
+    ("clike_if_assign", "style3"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 1, 147),
+    ("clike_if_assign", "unmerged"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 6, 0),
+    ("clike_closed_paren", "ranked"): ("af506726920e6c0d4a4ad3a4d2fa7fb80277a8907beea8d404c54dd3d9556030", 1, 55),
+    ("clike_closed_paren", "style1"): ("70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b", 1, 53),
+    ("clike_closed_paren", "style2"): ("70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b", 1, 53),
+    ("clike_closed_paren", "style3"): ("52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d", 1, 55),
+    ("clike_closed_paren", "unmerged"): ("52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d", 12, 0),
+    ("clike_three_ids", "ranked"): ("33094bd4787aa667fe9e14c58f1dbf13b0162ceb5a9646e5f31d2a5964288345", 3, 406),
+    ("clike_three_ids", "style1"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 3, 406),
+    ("clike_three_ids", "style2"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 3, 406),
+    ("clike_three_ids", "style3"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 3, 406),
+    ("clike_three_ids", "unmerged"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 401, 0),
+    ("calc_bad", "weighted_deterministic"): ("7af5d8432a2d1ef6f0d1ee72105557851daa8b71621afede5d8ac0527d671ea9", 1, 4),
+    ("calc_bad", "weighted_style3"): ("514b552098c01af271511cec33588440538e760aa162a4e5aabfd795b5ea11b2", 1, 4),
+    ("calc_double_plus", "weighted_deterministic"): ("771406b2a4fce5e1fd3c37fd266a849de00dd6bf8f2f064fe70f1096ca738b24", 1, 0),
+    ("calc_double_plus", "weighted_style3"): ("a91be2d6a6bb9ad5c0108afac2b6a33c4c31821619eeeb6622902919d06a433e", 1, 0),
+    ("clike_open_paren", "weighted_deterministic"): ("520c94d73e726f710eadf29d362fc901731065222ec6ce2164a357ebc2766fdd", 1, 0),
+    ("clike_open_paren", "weighted_style3"): ("df6d25de06049ac7519d7c5a8526ef591fd533ba6db575010b9f994f57270d77", 1, 0),
+    ("clike_if_assign", "weighted_deterministic"): ("1fc2238bc614d8ce4251ff3b6952ad19a9ca2402980686a1ae3158ed21ecd476", 1, 1),
+    ("clike_if_assign", "weighted_style3"): ("acfcf1da0aa5a5252c641cc2d059f1423c0be5e05ab046842eb68f7cbfdbe224", 1, 1),
 }
 
 
-GOLDEN_POINTS = [pytest.param(*key, id="-".join(key)) for key in sorted(GOLDEN_OUTCOMES)]
+GOLDEN_POINTS = [pytest.param(*key, id="-".join(key)) for key in sorted(GOLDEN_SEARCH)]
 
 
 @pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
 def test_search_outcomes_match_golden_digest(name, mode):
     outcome, success_configs, merges = search_outcome(name, mode)
-    assert hashlib.sha256(repr(outcome).encode()).hexdigest() == GOLDEN_OUTCOMES[name, mode]
-    assert success_configs == GOLDEN_SUCCESS_CONFIGS[name, mode]
-    assert merges == GOLDEN_MERGES[name, mode]
+    digest = hashlib.sha256(repr(outcome).encode()).hexdigest()
+    assert (digest, success_configs, merges) == GOLDEN_SEARCH[name, mode]
 
 
-@pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_OUTCOMES}))
+@pytest.mark.parametrize("name", sorted({name for name, _ in GOLDEN_SEARCH}))
 def test_golden_reported_order_does_not_depend_on_merging(name):
     # Without merging the search pops its configurations in another order
     # and finds the same set; the report depends only on the set.

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from lrfix import EOF, StateGraph, StateTable, build_tables, parse, parse_grammar
 from lrfix.lrtable import ACCEPT_CELL, ERROR_CELL, cell_arg, cell_kind, reduce_cell
 
-from conftest import FIXTURES, agreement_dfs, first_error, small_grammars, synth_toks, table_of
+from conftest import FIXTURES, agreement_dfs, err_point, small_grammars, synth_toks, table_of
 
 CLIKE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "clike.y"
 
@@ -60,9 +60,7 @@ def test_known_actions():
 
 
 def test_error_stack_is_stable():
-    t = table_of("calc")
-    toks = synth_toks(t, ["INT", "+", "+", "INT"])
-    stack, idx = first_error(t, [t.token_index[x.type] for x in toks])
+    _, stack, _, idx = err_point("calc", ["INT", "+", "+", "INT"])
     assert (stack, idx) == ([0, 2, 7], 2)
 
 

@@ -16,7 +16,7 @@ from lrfix import (
 from lrfix.lexer import Token
 from lrfix.parser import RECOVERERS, Node
 
-from conftest import FIXTURES, lexspec_of, synth_toks, table_of, toks_of
+from conftest import FIXTURES, synth_toks, table_of, toks_of
 
 
 def run(stem, text, recoverer="cpctplus", **kw):
