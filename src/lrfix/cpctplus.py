@@ -120,6 +120,10 @@ class RawSearch:
     merges: int
 
 
+class _OutOfTime(Exception):
+    """The search's deadline passed."""
+
+
 class _Search:
     """One search's state, all of it ints.
 
@@ -148,11 +152,13 @@ class _Search:
         stack: list[int],
         tok_ids: list[int],
         offset: int,
-        params: RecoveryParams,
+        params: Optional[RecoveryParams],
         budget_s: Optional[float],
         shift_style: int,
         merge: bool,
     ):
+        params = params or RecoveryParams()
+        self.table = table
         self.act = table.act
         self.goto = table.goto
         self.arity = table.prod_arity
@@ -379,10 +385,10 @@ class _Search:
 
     # -- main loop ------------------------------------------------------------------
 
-    def run(self) -> Optional[list[tuple[int, int, int]]]:
+    def run(self) -> list[tuple[int, int, int]]:
         """Search; returns the success configurations, each a (stack,
-        offset, repair node) triple, or None when the search fails: no
-        success was found, or the deadline passed."""
+        offset, repair node) triple, all of cost ``c_max``.  An empty list
+        means the frontier ran out; past the deadline, raises _OutOfTime."""
         act, n = self.act, self.n_states
         tok_ids = self.tok_ids
         n_shifts = self.params.n_shifts
@@ -397,7 +403,7 @@ class _Search:
             expanded = []
             while bucket:
                 if monotonic() > deadline:
-                    return None
+                    raise _OutOfTime
                 rm = bucket.pop()
                 key = bucket.pop()
                 ref = key >> ref_shift
@@ -421,28 +427,33 @@ class _Search:
             # as building them at each pop would have.
             for i in range(0, len(expanded), 2):
                 if monotonic() > deadline:
-                    return None
+                    raise _OutOfTime
                 key = expanded[i]
                 self._edit_moves(cost, expanded[i + 1], key >> ref_shift,
                                  key >> off_shift & off_mask, key & 1)
             cost += 1
-        return None
+        return []
 
-    def sequences(self, configs: list[tuple[int, int, int]]) -> Optional[set[tuple[int, ...]]]:
+    def sequences(self, configs: list[tuple[int, int, int]]) -> list[list[Repair]]:
         """The distinct non-empty sequences reaching ``configs`` (from
-        ``run``), trailing shifts pruned; None once the deadline passes."""
+        ``run``), trailing shifts pruned, decoded in canonical order (see
+        the module docstring); raises _OutOfTime past the deadline."""
         seqs: set[tuple[int, ...]] = set()
         for _, _, rm in configs:
-            raws = _expand(self.repair, self.parent, self.merged, rm, self.deadline)
-            if raws is None:
-                return None
-            for raw in raws:
+            for raw in _expand(self.repair, self.parent, self.merged, rm, self.deadline):
                 end = len(raw)
                 while end and raw[end - 1] == self.shift_c:
                     end -= 1
                 if end:
                     seqs.add(raw[:end])
-        return seqs
+        # Insert codes only: a grammar built without parse_grammar's checks
+        # could name EOF, whose index is the delete code.
+        index, eof = self.table.token_index, self.eof
+        avoid = {index[t] for t in self.table.grammar.avoid_insert if index.get(t, eof) < eof}
+        decoded = _decode(self.table, sorted(seqs, key=lambda s: (not avoid.isdisjoint(s), s)))
+        if time.monotonic() > self.deadline:
+            raise _OutOfTime
+        return decoded
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +464,7 @@ def _expand(repair, parent, merged: dict[int, list[int]], rm: int,
             deadline: float):
     """All distinct repair sequences reaching node ``rm`` of the repair DAG
     held in ``repair``, ``parent`` and ``merged`` (see ``_Search``), merged
-    alternatives included; None once ``time.monotonic()`` passes
-    ``deadline``.
+    alternatives included; raises _OutOfTime once ``deadline`` passes.
 
     A node without alternatives extends each of its parent's sequences by
     its own code, which keeps them distinct.  So a run of such nodes is
@@ -477,7 +487,7 @@ def _expand(repair, parent, merged: dict[int, list[int]], rm: int,
     todo = [climb(rm)[0]]
     while todo:
         if monotonic() > deadline:
-            return None
+            raise _OutOfTime
         node = todo[-1]
         if node in memo:
             todo.pop()
@@ -543,30 +553,21 @@ def repair_search(
     merge: bool = True,
 ) -> Optional[SearchOutcome]:
     """Full pipeline: search, rank, order, decode.  None means Fail."""
-    params = params or RecoveryParams()
     search = _Search(table, stack, tok_ids, offset, params, budget_s, shift_style, merge)
-    configs = search.run()
-    if configs is None:
+    try:
+        configs = search.run()
+        # Keep the configurations that parse furthest (reversed: least far).
+        dists = []
+        for ref, off, _ in configs:
+            if time.monotonic() > search.deadline:
+                raise _OutOfTime
+            dists.append(_parse_distance(table, search.stack_list(ref), off, tok_ids,
+                                         search.params.n_try))
+        best = min(dists, default=0) if rank_reversed else max(dists, default=0)
+        sequences = search.sequences([c for c, d in zip(configs, dists) if d == best])
+    except _OutOfTime:
         return None
-    # Keep the configurations that parse furthest ahead (or, reversed, the
-    # least far).
-    dists = []
-    for ref, off, _ in configs:
-        if time.monotonic() > search.deadline:
-            return None
-        dists.append(_parse_distance(table, search.stack_list(ref), off, tok_ids, params.n_try))
-    best = min(dists) if rank_reversed else max(dists)
-    seqs = search.sequences([c for c, d in zip(configs, dists) if d == best])
-    if not seqs:
-        return None
-
-    # Canonical order.  Insert codes only: a grammar built without
-    # parse_grammar's checks could name EOF, whose index is the delete code.
-    index, eof = table.token_index, table.eof
-    avoid = {index[t] for t in table.grammar.avoid_insert if index.get(t, eof) < eof}
-    ordered = sorted(seqs, key=lambda s: (not avoid.isdisjoint(s), s))
-    sequences = _decode(table, ordered)
-    if time.monotonic() > search.deadline:
+    if not sequences:
         return None
     return SearchOutcome(search.c_max, sequences, sequences[0], len(configs), search.merges)
 
@@ -583,16 +584,15 @@ def min_repair_sequences(
     merge: bool = True,
 ) -> Optional[RawSearch]:
     """The complete pre-ranking set of minimum-cost repair sequences."""
-    params = params or RecoveryParams()
     search = _Search(table, stack, tok_ids, offset, params, budget_s, shift_style, merge)
-    configs = search.run()
-    seqs = None if configs is None else search.sequences(configs)
-    if seqs is None:
+    try:
+        configs = search.run()
+        sequences = search.sequences(configs)
+    except _OutOfTime:
         return None
-    decoded = {tuple(s) for s in _decode(table, seqs)}
-    if time.monotonic() > search.deadline:
+    if not configs:  # the frontier ran out
         return None
-    return RawSearch(search.c_max, decoded, len(configs), search.merges)
+    return RawSearch(search.c_max, set(map(tuple, sequences)), len(configs), search.merges)
 
 
 # ---------------------------------------------------------------------------

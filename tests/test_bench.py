@@ -56,6 +56,21 @@ def test_run_corpus_records_and_skips(tmp_path):
     assert "unlexable" in reasons["c_unlexable.txt"]
     assert "unreadable" in reasons["d_unreadable.txt"]
 
+    lines = format_summary_table([summary]).splitlines()
+    notes = [line for line in lines if line.startswith("note: ")]
+    assert sorted(n.split(" (")[0] for n in notes) == [
+        "note: cpctplus skipped c_unlexable.txt",
+        "note: cpctplus skipped d_unreadable.txt",
+    ]
+    assert not any("interval" in line for line in lines)
+    summary.intervals = bootstrap(records, iterations=50)
+    lines = format_summary_table([summary]).splitlines()
+    intervals = [line for line in lines if "99% interval" in line]
+    assert [i.split(" 99%")[0] for i in intervals] == [
+        f"cpctplus: {k}" for k in sorted(summary.intervals)
+    ]
+    assert "cpctplus: mean_cost 99% interval [1.0000, 1.0000]" in intervals
+
 
 def test_failed_runs_keep_time_but_not_costs(tmp_path):
     (tmp_path / "x.txt").write_text("x = 1 1 ;\n")

@@ -308,7 +308,8 @@ def test_a_configuration_costs_few_bytes():
     tracemalloc.start()
     try:
         search = cpctplus._Search(t, stack, ids, idx, RecoveryParams(), 0.5, 3, True)
-        assert search.run() is None
+        with pytest.raises(cpctplus._OutOfTime):
+            search.run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -430,7 +431,7 @@ def test_ranking_stops_at_a_runaway_reduce_chain(merge):
     out = repair_search(t, [0], ids, 0)
     assert (out.cost, out.sequences) == (1, [[D]])
     with pytest.raises(ParserInternalError, match="reduce chain did not terminate"):
-        parse(t, toks)
+        parse(t, toks, params=RecoveryParams(timeout_s=60))
 
 
 calc_names = st.lists(st.sampled_from(["INT", "+", "*", "(", ")"]), min_size=1, max_size=4)

@@ -80,12 +80,39 @@ def test_comments_and_actions_are_skipped():
         ("%token A\nS: A;", "unexpected"),
         ("%%\n", "no rules"),
         ("%token A\n%%\nA: 'x';", "declared as a token"),
+        ("%{ int x;\n%%\nS: ;", "unterminated %{ block"),
+        ("%%\nS: 'a' { /* } ;", "unterminated comment in action"),
+        ("%%\nS: 'a' { { } ;", "unbalanced { } in action"),
+        ("%start 'a'\n%%\nS: ;", "%start needs a rule name"),
+        ("%prec X\n%%\nS: ;", "%prec belongs after a rule body"),
+        ("%type X\n%%\nS: ;", "unknown directive %type"),
+        ("<int>\n%%\nS: ;", "<type> tags"),
+        ("%%\n'a': ;", "expected a rule name"),
+        ("%%\nS 'a';", "expected ':' after rule name"),
+        ("%%\nS: 'a' :", "expected '|' or ';'"),
+        ("%%\nS: 'a' %prec ;", "expected a token name"),
     ],
 )
 def test_rejects(text, fragment):
     with pytest.raises(GrammarError) as e:
         parse_grammar(text)
     assert fragment in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "text, bodies",
+    [
+        ("%{\n#include <stdio.h>\n%}\n%token A\n%%\nS: A;", [("A",)]),
+        ("%%\nS: 'a' { s = \"}\"; c = '}'; /* } */ } | ;", [("a",), ()]),
+        ("%token N\n%right NEG\n%%\nE: '-' E %prec NEG | N;", [("-", "E"), ("N",)]),
+        # The literal '\t' names a backslash and a 't', as it does in a lexer file.
+        ("%%\nS: 'a\\'b' '\\\\' '\\n' '\\t';", [("a'b", "\\", "\n", "\\t")]),
+    ],
+)
+def test_accepts_and_round_trips(text, bodies):
+    g = parse_grammar(text)
+    assert [p.rhs for p in g.productions] == bodies
+    assert parse_grammar(pretty(g)) == g
 
 
 def test_error_carries_line():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from lrfix import EOF, StateGraph, StateTable, build_tables, parse, parse_grammar
 from lrfix.lrtable import ACCEPT_CELL, ERROR_CELL, cell_arg, cell_kind, reduce_cell
 
-from conftest import FIXTURES, agreement_dfs, err_point, small_grammars, synth_toks, table_of
+from conftest import FIXTURES, agreement_dfs, small_grammars, synth_toks, table_of
 
 CLIKE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "clike.y"
 
@@ -57,11 +57,6 @@ def test_known_actions():
     assert t.productions[prod[1]].rhs == ("Factor",)
     assert t.action(4, "$") == ("accept",)
     assert t.goto_state(0, "Expr") == 4
-
-
-def test_error_stack_is_stable():
-    _, stack, _, idx = err_point("calc", ["INT", "+", "+", "INT"])
-    assert (stack, idx) == ([0, 2, 7], 2)
 
 
 def test_merged_and_canonical_parse_alike_smoke():

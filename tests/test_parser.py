@@ -69,11 +69,6 @@ def test_none_recoverer_stops_at_first_error():
 
 
 def test_panic_pops_without_skipping():
-    t = table_of("calc")
-    toks = synth_toks(t, ["INT", "+", "+", "INT"])
-    ids = [t.token_index[x.type] for x in toks]
-    assert panic_recover(t, [0, 2, 7], ids, 2) == ([0, 2], 2)
-
     r = run("calc", "2 + + 3", recoverer="panic")
     assert r.success
     rep = r.reports[0]
@@ -238,6 +233,18 @@ def test_conflicted_epsilon_grammar_raises_instead_of_hanging(recoverer, merge):
     t = build_tables(parse_grammar("%start R\n%token x\n%%\nN: ;\nR: N R x | ;"), merge=merge)
     with pytest.raises(ParserInternalError):
         parse(t, synth_toks(t, ["x"]), recoverer=recoverer)
+
+
+@pytest.mark.parametrize("merge", [True, False])
+@pytest.mark.parametrize("recoverer", ["cpctplus", "cpctplus-rev"])
+def test_a_search_that_inserts_into_a_runaway_chain_raises(recoverer, merge):
+    # The same grammar with a second token: the parse errors at once on
+    # 'y', and the search's attempt to insert 'x' then reduces N forever.
+    # The search's own reduce-chain limit turns that into an error.
+    t = build_tables(parse_grammar("%start R\n%token x y\n%%\nN: ;\nR: N R x | ;"), merge=merge)
+    with pytest.raises(ParserInternalError, match="reduce chain did not terminate") as e:
+        parse(t, synth_toks(t, ["y"]), recoverer=recoverer)
+    assert e.traceback[-1].name == "_inserts"
 
 
 def test_tree_text_renders_a_tree_deeper_than_the_recursion_limit():
