@@ -212,6 +212,7 @@ class LexSpec:
 
     def lex(self, src: str) -> list[Token]:
         toks: list[Token] = []
+        new = tuple.__new__  # Token(...) without NamedTuple's __new__ call
         at = self._at
         anywhere = self._anywhere
         pos = 0
@@ -230,7 +231,7 @@ class LexSpec:
                 line, col = LineIndex(src).line_col(pos)
                 raise LexError(f"no rule matches {src[pos:pos+10]!r}", pos, line, col)
             if best_name is not None:
-                toks.append(Token(best_name, pos, best_end))
+                toks.append(new(Token, (best_name, pos, best_end, False)))
             pos = best_end
         toks.append(Token(EOF, n, n))
         return toks

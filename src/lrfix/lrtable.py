@@ -300,14 +300,19 @@ class StateGraph:
             edges[i] = {}
             for sym, kernel in moves.items():
                 candidates = lookup.setdefault(key_of(kernel), [])
+                grew = True
                 for j in candidates:
                     existing = kernels[j]
-                    if _weakly_compatible(existing, kernel):
+                    for item, las in kernel.items():
+                        if las & ~existing[item]:
+                            break
+                    else:
+                        # Adding no lookahead passes Pager's test: with
+                        # c_a <= d_a, c_a & d_b implies d_a & d_b.
                         grew = False
-                        for item, las in kernel.items():
-                            if las & ~existing[item]:
-                                existing[item] |= las
-                                grew = True
+                        break
+                    if _weakly_compatible(existing, kernel):
+                        existing.update({item: las | existing[item] for item, las in kernel.items()})
                         break
                 else:
                     j = len(kernels)
@@ -315,7 +320,6 @@ class StateGraph:
                     kernels.append(kernel)
                     closures.append({})
                     edges.append({})
-                    grew = True
                 if grew and j not in queued:
                     queued.add(j)
                     work.append(j)
@@ -426,35 +430,38 @@ class StateTable:
         graph = self.graph
         n_tok = len(self.tokens)
         n_rule = len(self.rule_names)
+        # A complete item is a kernel item or an empty production at dot 0.
+        empty = [(p.index, 0) for p in graph.productions if not p.rhs]
         for s in range(self.n_states):
             row = [ERROR_CELL] * n_tok
             grow = [-1] * n_rule
-            # Candidates per token: at most one shift, any number of reduces.
-            shift_to: dict[int, int] = {}
+            # Per token: at most one shift, written at once; any number of reduces.
             reduces: dict[int, list[int]] = {}
             for sym, t in graph.edges[s].items():
                 if g.is_rule(sym):
                     grow[self.rule_index[sym]] = t
                 else:
-                    shift_to[self.token_index[sym]] = t
+                    row[self.token_index[sym]] = shift_cell(t)
+            closure = graph._closures[s]
+            complete = [*graph.states[s].items(), *((i, closure[i]) for i in empty if i in closure)]
             accept_on_eof = False
-            for (prod_i, dot), las in graph._closures[s].items():
-                if dot != len(graph.productions[prod_i].rhs):
-                    continue
+            for (prod_i, dot), las in complete:
                 if prod_i == graph.aug_index:
-                    accept_on_eof = True
-                    continue
-                for tok_i in _bits(las):  # bit i is self.tokens[i]
-                    reduces.setdefault(tok_i, []).append(prod_i)
-            # A token with no candidate keeps its error cell.
-            candidates = shift_to.keys() | reduces.keys()
+                    accept_on_eof = dot == 1  # ^: start .
+                elif dot == len(graph.productions[prod_i].rhs):
+                    for tok_i in _bits(las):  # bit i is self.tokens[i]
+                        reduces.setdefault(tok_i, []).append(prod_i)
+            # A lone reduce is written here; the rest goes to _resolve in
+            # token order, the order of its reports.
             if accept_on_eof:
-                candidates.add(self.eof)
-            for tok_i in sorted(candidates):
-                row[tok_i] = self._resolve(
-                    s, tok_i, shift_to.get(tok_i), sorted(reduces.get(tok_i, ())),
-                    accept_on_eof and tok_i == self.eof,
-                )
+                reduces.setdefault(self.eof, [])
+            for tok_i in sorted(reduces):
+                reds, accept = reduces[tok_i], accept_on_eof and tok_i == self.eof
+                shift = cell_arg(row[tok_i]) if row[tok_i] else None
+                if len(reds) == 1 and shift is None and not accept:
+                    row[tok_i] = reduce_cell(reds[0])
+                else:
+                    row[tok_i] = self._resolve(s, tok_i, shift, sorted(reds), accept)
             self.act.append(row)
             self.goto.append(grow)
             self.live_terms.append(tuple(t for t in range(self.eof) if row[t] != ERROR_CELL))

@@ -2,9 +2,9 @@
 
 One kernel, ``drive``, runs a list stack over the packed action/goto
 arrays: it reduces and shifts over a run of token ids until accept, an
-error cell or a stop position, and builds tree nodes only when given a
-forest.  ``parse`` calls it once per error-free stretch and once to replay
-each applied repair; the repair search calls it to rank candidates.
+error cell or a stop position, and logs its actions when given a log.
+``parse`` drives each error-free stretch and each repair replay into one
+log, which ``ParseResult.tree`` folds; the search drives it to rank repairs.
 What happens at an error cell is delegated to a *recoverer*:
 
 * ``"none"``  — report the error and stop;
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 from .lexer import LineIndex, Token
@@ -203,43 +204,39 @@ def drive(
     ids: list[int],
     idx: int,
     stop: int,
-    forest: Optional[list] = None,
+    log: Optional[list] = None,
     leaves: Optional[list] = None,
 ) -> tuple[int, bool]:
     """Run ``stack`` (mutating it) over the token ids ``ids[idx:stop]``.
 
     Reduces and shifts until the next token meets an accept or error cell,
     or until ``stop`` is reached.  Returns the position reached and
-    whether it accepted.  Given a ``forest``, each shift pushes
-    ``leaves[i]`` for ``ids[i]`` and each reduce folds its handle into a
-    ``Node``; without one, only the stack moves.
+    whether it accepted.  Given a ``log``, each shift appends ``leaves[i]``
+    for ``ids[i]`` and each reduce its production index; without one, only
+    the stack moves.
     """
     act, goto, arity, prule = table.act, table.goto, table.prod_arity, table.prod_rule
-    productions = table.productions
     chain = 0
     while idx < stop:
         cell = act[stack[-1]][ids[idx]]
         low = cell & 3
         if low == 2:  # shift
             stack.append(cell >> 2)
-            if forest is not None:
-                forest.append(leaves[idx])
+            if log is not None:
+                log.append(leaves[idx])
             idx += 1
             chain = 0
         elif low == 3:  # reduce
             p = cell >> 2
             n = arity[p]
-            if forest is not None:
-                cut = len(forest) - n
-                children = forest[cut:]
-                del forest[cut:]
-                forest.append(Node(productions[p].lhs, children))
+            if log is not None:
+                log.append(p)
             if n:
                 del stack[-n:]
             g = goto[stack[-1]][prule[p]]
             if g < 0:
                 raise ParserInternalError(
-                    f"no goto from state {stack[-1]} on {productions[p].lhs}"
+                    f"no goto from state {stack[-1]} on {table.productions[p].lhs}"
                 )
             stack.append(g)
             chain += 1
@@ -279,18 +276,26 @@ def lr_step(table: StateTable, stack: list[int], token: str):
 def panic_recover(table: StateTable, stack: list[int], tok_ids: list[int], offset: int):
     """Pop and skip until some stack suffix can act on some later token.
 
-    For each remaining token in turn, scan the stack from the top down
-    looking for a state with a non-error action on that token; if none
-    exists, give up on the token and try the next one.  Returns the
+    For each remaining token in turn, pop to the topmost state with a
+    non-error action on it, or skip the token if no state has one; the
+    stack is scanned top-down once, as far as needed.  Returns the
     shortened stack and new offset, or None when even end-of-input cannot
     be acted on from any stack suffix.
     """
-    act = table.act
+    act, live, eof = table.act, table.live_terms, table.eof
+    top: dict[int, int] = {}   # terminal -> stack height to pop to
+    k = len(stack)             # the states above height k are filed
     for j in range(offset, len(tok_ids)):
         t = tok_ids[j]
-        for k in range(len(stack), 0, -1):
-            if act[stack[k - 1]][t] != ERROR_CELL:
-                return stack[:k], j
+        while t not in top and k:
+            s = stack[k - 1]
+            for u in live[s]:
+                top.setdefault(u, k)
+            if act[s][eof] != ERROR_CELL:
+                top.setdefault(eof, k)
+            k -= 1
+        if t in top:
+            return stack[: top[t]], j
     return None
 
 
@@ -300,9 +305,28 @@ def panic_recover(table: StateTable, stack: list[int], tok_ids: list[int], offse
 
 @dataclass
 class ParseResult:
-    tree: Optional[Union[Node, Token]]
     reports: list[RecoveryReport]
     stats: RunStats
+    _table: StateTable = field(repr=False)
+    _log: list = field(default_factory=list, repr=False)  # drive's actions; none on failure
+
+    @cached_property
+    def tree(self) -> Optional[Union[Node, Token]]:
+        """The parse tree (None if the parse failed), folded when first read
+        from the action log: a leaf is pushed, a production index folds its
+        handle into a ``Node``, and ``-1 - k`` keeps the first ``k``."""
+        log, self._log = self._log, []
+        productions, arity = self._table.productions, self._table.prod_arity
+        forest: list = []
+        for entry in log:
+            if type(entry) is not int:
+                forest.append(entry)
+            elif entry >= 0:
+                cut = len(forest) - arity[entry]
+                forest[cut:] = [Node(productions[entry].lhs, forest[cut:])]
+            else:
+                del forest[-1 - entry :]
+        return forest[-1] if forest else None
 
     @property
     def success(self) -> bool:
@@ -332,16 +356,15 @@ def parse(
     lines: Optional[LineIndex] = None   # built at the first error
 
     stack = [0]
-    forest: list = []
+    log: list = []
     idx = 0
     reports: list[RecoveryReport] = []
     stats = RunStats(real_tokens=len(toks) - 1)
 
     while True:
-        idx, accepted = drive(table, stack, tok_ids, idx, len(tok_ids), forest, toks)
+        idx, accepted = drive(table, stack, tok_ids, idx, len(tok_ids), log, toks)
         if accepted:
-            tree = forest[-1] if forest else None
-            return ParseResult(tree, reports, stats)
+            return ParseResult(reports, stats, table, log)
         stats.error_locations += 1
         if lines is None:
             lines = LineIndex(src)
@@ -371,9 +394,8 @@ def parse(
             report.skipped = new_idx - idx
             report.popped = len(stack) - len(new_stack)
             stats.skipped += report.skipped
-            del forest[len(new_stack) - 1 :]
-            stack = new_stack
-            idx = new_idx
+            log.append(-len(new_stack))  # -1 - k: keep the k subtrees new_stack holds
+            stack, idx = new_stack, new_idx
             continue
         report.sequences = found.sequences
         report.applied = found.applied
@@ -393,7 +415,7 @@ def parse(
                 stats.skipped += 1
             idx += 1
         run = [table.token_index[t.type] for t in leaves]
-        if drive(table, stack, run, 0, len(run), forest, leaves)[0] != len(run):
+        if drive(table, stack, run, 0, len(run), log, leaves)[0] != len(run):
             raise ParserInternalError(f"repair replay diverged from search at state {stack[-1]}")
     stats.success = False
-    return ParseResult(None, reports, stats)
+    return ParseResult(reports, stats, table)

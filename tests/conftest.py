@@ -11,6 +11,7 @@ from lrfix.parser import drive
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 INPUTS = FIXTURES / "inputs"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @functools.lru_cache(maxsize=None)
@@ -26,6 +27,14 @@ def lexspec_of(stem: str) -> LexSpec:
 @functools.lru_cache(maxsize=None)
 def table_of(stem: str, merge: bool = True) -> StateTable:
     return build_tables(grammar_of(stem), merge=merge)
+
+
+@functools.lru_cache(maxsize=None)
+def clike() -> tuple[StateTable, LexSpec]:
+    """The benchmark's C-like language: its merged table and its lexer."""
+    grammar = parse_grammar((PERFBENCH / "clike.y").read_text(encoding="utf-8"))
+    lexspec = LexSpec.parse((PERFBENCH / "clike.l").read_text(encoding="utf-8"))
+    return build_tables(grammar), lexspec
 
 
 def toks_of(stem: str, text: str) -> list[Token]:

@@ -1,7 +1,5 @@
 import dataclasses
-import functools
 import hashlib
-import pathlib
 import time
 import tracemalloc
 
@@ -10,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrfix import (
-    LexSpec,
     ParserInternalError,
     RecoveryParams,
     Repair,
@@ -27,10 +24,9 @@ from lrfix.lrtable import ACCEPT_CELL
 from lrfix.parser import RECOVERERS, drive
 
 from conftest import (
-    INPUTS, err_point, first_error, grammar_of, small_grammars, synth_toks, table_of, toks_of,
+    INPUTS, clike, err_point, first_error, grammar_of, small_grammars, synth_toks, table_of,
+    toks_of,
 )
-
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 I = lambda t: Repair("insert", t)
 D = Repair("delete")
@@ -554,13 +550,6 @@ SEARCH_MODES = {
     "weighted_style3": {"params": RecoveryParams(insert_cost=weighted_cost), "shift_style": 3},
 }
 RANKED_MODES = ("ranked", "weighted_deterministic")
-
-
-@functools.lru_cache(maxsize=None)
-def clike():
-    grammar = parse_grammar((PERFBENCH / "clike.y").read_text(encoding="utf-8"))
-    lexspec = LexSpec.parse((PERFBENCH / "clike.l").read_text(encoding="utf-8"))
-    return build_tables(grammar), lexspec
 
 
 def golden_point(name):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from lrfix import (
@@ -13,10 +16,13 @@ from lrfix import (
     render_repairs,
     tree_text,
 )
+from lrfix import parser
+from lrfix.bench import mutate_corpus
 from lrfix.lexer import Token
+from lrfix.lrtable import ERROR_CELL
 from lrfix.parser import RECOVERERS, Node
 
-from conftest import FIXTURES, synth_toks, table_of, toks_of
+from conftest import FIXTURES, clike, first_error, synth_toks, table_of, toks_of
 
 
 def run(stem, text, recoverer="cpctplus", **kw):
@@ -94,6 +100,51 @@ def test_panic_gives_up_when_nothing_resynchronizes():
     assert panic_recover(t, [0, 2, 7], [rp, eof], 0) == ([0, 2], 0)
     # state 7 (after '+') wants a value and cannot act even on EOF
     assert panic_recover(t, [7], [rp, eof], 0) is None
+
+
+def brute_force_panic(t, stack, ids, offset):
+    """Panic's answer found the slow way: the whole stack, for each token."""
+    for j in range(offset, len(ids)):
+        for k in range(len(stack), 0, -1):
+            if t.act[stack[k - 1]][ids[j]] != ERROR_CELL:
+                return stack[:k], j
+    return None
+
+
+def deep_panic_point(n, tail=()):
+    """calc ``( ( ... + + ...``: n open parentheses, then n stray '+'."""
+    t = table_of("calc")
+    ids = [t.token_index[x] for x in ["("] * n + ["+"] * n + list(tail)] + [t.eof]
+    stack, idx = first_error(t, ids)
+    return t, stack, ids, idx
+
+
+@pytest.mark.parametrize("tail", [(), ("INT",)])
+def test_panic_finds_what_scanning_every_token_finds(tail):
+    t, stack, ids, idx = deep_panic_point(50, tail)
+    assert panic_recover(t, stack, ids, idx) == brute_force_panic(t, stack, ids, idx)
+
+
+def test_panic_agrees_with_brute_force_on_random_calc_inputs():
+    t = table_of("calc")
+    rng = random.Random(3)
+    for _ in range(300):
+        ids = [rng.randrange(t.eof) for _ in range(rng.randrange(1, 25))] + [t.eof]
+        point = first_error(t, ids)
+        if point is not None:
+            stack, idx = point
+            assert panic_recover(t, stack, ids, idx) == brute_force_panic(t, stack, ids, idx)
+
+
+def test_panic_on_a_deep_stack_stays_inside_its_budget():
+    # Rescanning the 4,001-state stack for each of 4,000 stray '+' took
+    # about 0.9 s; one top-down pass takes milliseconds.
+    n = 4000
+    t = table_of("calc")
+    toks = synth_toks(t, ["("] * n + ["+"] * n)
+    r = parse(t, toks, recoverer="panic", params=RecoveryParams(timeout_s=0.01))
+    assert not r.success
+    assert r.stats.recovery_time_s <= 0.01 + 0.09
 
 
 def test_repair_is_applied_and_parse_continues():
@@ -258,3 +309,107 @@ def test_tree_text_renders_a_tree_deeper_than_the_recursion_limit():
     assert lines[:4] == ["Expr", "  Term", "    Factor", "      INT 1"]
     assert sum(line.strip() == "INT 1" for line in lines) == terms
     assert lines[-1] == "  " * (terms + 2) + "INT 1"
+
+
+# -- trees built on demand -------------------------------------------------------
+
+CLIKE_PROGRAM = """\
+struct node { int key; struct node * next; };
+int count;
+int sum(struct node * head, int limit) {
+    int acc = 0;
+    for (count = 0; head && count < limit; count += 1) {
+        if (head->key % 2 == 0) acc = acc + head->key * 2;
+        else { acc -= 1; continue; }
+        head = head->next;
+    }
+    while (!acc) acc = f(acc, 3)[1];
+    emit("sum=%d", acc, &count);
+    return acc > 0 || -acc;
+}
+"""
+
+# Panic pops three entries at the stray `)`: `else`, the `if`'s block (a
+# `Stmt` subtree) and the `)` after its condition.
+PANIC_DROPS_SUBTREES = "int f() { if (x) { y = 1; } else ) z = 2; }"
+
+
+def clike_tree_corpus():
+    _, lexspec = clike()
+    files = [(f"f{i}", CLIKE_PROGRAM) for i in range(30)]
+    faulty = mutate_corpus(files, lexspec, seed=1, edits_per_file=3)
+    return [CLIKE_PROGRAM] + [src for _, src in faulty] + [PANIC_DROPS_SUBTREES]
+
+
+def count_nodes(monkeypatch):
+    """Patch ``parser.Node`` with a subclass that counts constructions."""
+    built = []
+
+    class Counted(Node):
+        __slots__ = ()
+
+        def __init__(self, rule, children):
+            built.append(rule)
+            super().__init__(rule, children)
+
+    monkeypatch.setattr(parser, "Node", Counted)
+    return built
+
+
+def nodes_in(tree):
+    n, todo = 0, [tree]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Node):
+            n += 1
+            todo.extend(x.children)
+    return n
+
+
+# sha256 over tree_text (or "-" for no tree) of every file of
+# ``clike_tree_corpus()`` under cpctplus, panic and none, in that order.
+# Recorded with the parser that built every tree eagerly, before trees
+# were folded from an action log.
+GOLDEN_TREES = "aa2ec815bf66566427e15f134d018510432abbf161a38eb63e6460d256ce4189"
+
+
+def test_golden_trees_of_a_faulty_clike_corpus():
+    t, lexspec = clike()
+    h = hashlib.sha256()
+    for recoverer in ("cpctplus", "panic", "none"):
+        for src in clike_tree_corpus():
+            r = parse(t, lexspec.lex(src), src, recoverer=recoverer,
+                      params=RecoveryParams(timeout_s=30))
+            h.update((tree_text(r.tree, src) if r.tree is not None else "-\n").encode())
+    assert h.hexdigest() == GOLDEN_TREES
+
+
+def test_a_tree_is_built_only_when_read(monkeypatch):
+    built = count_nodes(monkeypatch)
+    r = run("calc", "2 + 3 * 4", recoverer="none")
+    assert r.success and built == []
+    tree = r.tree
+    assert len(built) == nodes_in(tree) == 8
+    assert r.tree is tree
+    assert len(built) == 8
+
+
+@pytest.mark.parametrize("recoverer", RECOVERERS)
+def test_an_unread_tree_is_never_built(monkeypatch, recoverer):
+    built = count_nodes(monkeypatch)
+    t, lexspec = clike()
+    for src in clike_tree_corpus()[:10]:
+        parse(t, lexspec.lex(src), src, recoverer=recoverer)
+    assert built == []
+
+
+def test_a_panic_pop_drops_folded_subtrees(monkeypatch):
+    built = count_nodes(monkeypatch)
+    t, lexspec = clike()
+    src = PANIC_DROPS_SUBTREES
+    r = parse(t, lexspec.lex(src), src, recoverer="panic")
+    assert [(rep.skipped, rep.popped) for rep in r.reports] == [(0, 3)]
+    # Folding builds the dropped block, then the pop's entry discards it.
+    kept = nodes_in(r.tree)
+    assert len(built) > kept
+    assert "Stmt" in tree_text(r.tree, src)
