@@ -491,9 +491,7 @@ class StateTable:
                 )
             return ACCEPT_CELL
         if shift is None:
-            return reduce_cell(chosen_red) if chosen_red is not None else ERROR_CELL
-        if chosen_red is None:
-            return shift_cell(shift)
+            return reduce_cell(chosen_red)
         # Shift/reduce: consult binding levels when both sides have one.
         tok_prec = g.assoc.get(tok)
         prod_prec = g.production_prec(self.productions[chosen_red])

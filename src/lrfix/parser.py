@@ -307,8 +307,9 @@ def panic_recover(table: StateTable, stack: list[int], tok_ids: list[int], offse
 class ParseResult:
     reports: list[RecoveryReport]
     stats: RunStats
-    _table: StateTable = field(repr=False)
-    _log: list = field(default_factory=list, repr=False)  # drive's actions; none on failure
+    _table: StateTable = field(repr=False, compare=False)
+    # drive's actions (none on failure); emptied once ``tree`` is read
+    _log: list = field(default_factory=list, repr=False, compare=False)
 
     @cached_property
     def tree(self) -> Optional[Union[Node, Token]]:

@@ -214,22 +214,6 @@ def test_tables_match_golden_digest(stem, merge):
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[stem, merge]
 
 
-# sha256 of (act, goto, conflict descriptions, resolved, live_terms) for the
-# C-like grammar, recorded before the builder skipped Pager's test for
-# kernels that add no lookaheads and wrote unconflicted cells directly.
-GOLDEN_FILLED = {
-    True: "3196d53c241fc2449b20d4fcbe65924cd688e0a5e208934a3dd9582e4e2539fc",
-    False: "c5b77e93dab1305fa64bd1a1aa05222aec0c4c75eeb4aa1c7c38db03f1c1f78f",
-}
-
-
-@pytest.mark.parametrize("merge", [True, False])
-def test_clike_filled_table_matches_golden_digest(merge):
-    t = pinned_table("clike", merge)
-    blob = repr((t.act, t.goto, [c.describe() for c in t.conflicts], t.resolved, t.live_terms))
-    assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN_FILLED[merge]
-
-
 @pytest.mark.parametrize("stem,merge", sorted(GOLDEN), ids=str)
 def test_live_terms_are_the_non_error_terminals_before_eof(stem, merge):
     t = pinned_table(stem, merge)
@@ -239,6 +223,14 @@ def test_live_terms_are_the_non_error_terminals_before_eof(stem, merge):
         assert t.eof not in row
 
 
+# Count and sha256 of clike's binding-level resolutions, which the table
+# digests above leave out: (state, token, chosen, level) each, in build order.
+RESOLVED = {
+    True: (440, "ab18db68d9e252f39b3f1e11fcefa97edcc4968fdeaaa0fe3d7b8df67dbdfbb0"),
+    False: (1760, "0a0cc105bc8fec38f5399157493b23f3116ee62614e47c151b6a9297e589734e"),
+}
+
+
 @pytest.mark.parametrize("merge,n_states", [(True, 146), (False, 378)])
 def test_clike_keeps_only_the_dangling_else_conflict(merge, n_states):
     t = pinned_table("clike", merge)
@@ -246,6 +238,8 @@ def test_clike_keeps_only_the_dangling_else_conflict(merge, n_states):
     [c] = t.conflicts
     assert (c.kind, c.token) == ("shift/reduce", "else")
     assert c.chosen.startswith("shift to ")
+    blob = repr([dataclasses.astuple(r) for r in t.resolved])
+    assert (len(t.resolved), hashlib.sha256(blob.encode()).hexdigest()) == RESOLVED[merge]
 
 
 # -- merged against canonical ------------------------------------------------------

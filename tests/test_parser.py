@@ -392,6 +392,8 @@ def test_a_tree_is_built_only_when_read(monkeypatch):
     assert len(built) == nodes_in(tree) == 8
     assert r.tree is tree
     assert len(built) == 8
+    # Reading the tree empties the log; equality does not look at either.
+    assert r == run("calc", "2 + 3 * 4", recoverer="none")
 
 
 @pytest.mark.parametrize("recoverer", RECOVERERS)
