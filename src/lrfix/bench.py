@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import random
 import statistics
 import sys
@@ -41,17 +42,6 @@ from .grammar import Grammar, GrammarError, parse_grammar
 from .lexer import LexError, LexSpec, LexSpecError
 from .lrtable import build_tables
 from .parser import RECOVERERS, ParserInternalError, RecoveryParams, parse
-
-CSV_COLUMNS = [
-    "file",
-    "repeat",
-    "recoverer",
-    "recovery_time_s",
-    "success",
-    "error_locations",
-    "costs",
-    "tokens_skipped_pct",
-]
 
 # Mean tokens-skipped percentage above which a recoverer is flagged as
 # suspiciously deletion-happy.
@@ -70,6 +60,24 @@ class BenchRecord:
     error_locations: int
     costs: list[int]          # empty unless the whole file was repaired
     tokens_skipped_pct: float
+
+
+CSV_COLUMNS = [f.name for f in dataclasses.fields(BenchRecord)]
+
+# The figures a summary reports and ``bootstrap`` resamples, each computed
+# from a non-empty list of runs.  The names are ``SummaryStats`` fields.
+_FIGURES = {
+    "mean_recovery_time_s": lambda runs: statistics.fmean(r.recovery_time_s for r in runs),
+    "failure_rate_pct": lambda runs: 100.0 * sum(not r.success for r in runs) / len(runs),
+    "tokens_skipped_pct": lambda runs: statistics.fmean(r.tokens_skipped_pct for r in runs),
+}
+
+
+def _mean_cost(runs: Sequence[BenchRecord]) -> Optional[float]:
+    """Mean repair cost over every location of the given runs, or None
+    when they hold no costs (failed runs record none)."""
+    costs = [c for r in runs for c in r.costs]
+    return statistics.fmean(costs) if costs else None
 
 
 @dataclass
@@ -177,24 +185,20 @@ def summarize(
     """Aggregate per-run records into a SummaryStats."""
     if recoverer is None:
         recoverer = records[0].recoverer if records else "?"
-    times = [r.recovery_time_s for r in records]
-    all_costs = [c for r in records for c in r.costs]
-    skipped_pcts = [r.tokens_skipped_pct for r in records]
-    failures = sum(1 for r in records if not r.success)
-    mean_skip = statistics.fmean(skipped_pcts) if skipped_pcts else 0.0
+    figures = {name: figure(records) if records else 0.0 for name, figure in _FIGURES.items()}
     return SummaryStats(
         recoverer=recoverer,
         files=len({r.file for r in records}),
         runs=len(records),
-        mean_recovery_time_s=statistics.fmean(times) if times else 0.0,
-        median_recovery_time_s=statistics.median(times) if times else 0.0,
-        mean_cost=statistics.fmean(all_costs) if all_costs else None,
-        failure_rate_pct=100.0 * failures / len(records) if records else 0.0,
-        tokens_skipped_pct=mean_skip,
+        median_recovery_time_s=(
+            statistics.median(r.recovery_time_s for r in records) if records else 0.0
+        ),
+        mean_cost=_mean_cost(records),
         error_locations=sum(r.error_locations for r in records),
         skip_threshold_pct=skip_threshold_pct,
-        excess_skipping=mean_skip > skip_threshold_pct,
+        excess_skipping=figures["tokens_skipped_pct"] > skip_threshold_pct,
         skipped_files=skipped_files or [],
+        **figures,
     )
 
 
@@ -221,8 +225,6 @@ def write_csv(records: Sequence[BenchRecord], path: Union[str, Path]) -> None:
 
 def _percentile(sorted_xs: list[float], q: float) -> float:
     """Linear-interpolated quantile of an already-sorted sample."""
-    if len(sorted_xs) == 1:
-        return sorted_xs[0]
     pos = q * (len(sorted_xs) - 1)
     lo = int(pos)
     hi = min(lo + 1, len(sorted_xs) - 1)
@@ -263,27 +265,14 @@ def bootstrap(
     ok_groups = [g for g in ok_groups if g]
 
     rng = random.Random(seed)
-    samples: dict[str, list[float]] = {
-        "mean_recovery_time_s": [],
-        "failure_rate_pct": [],
-        "tokens_skipped_pct": [],
-        "mean_cost": [],
-    }
+    samples: dict[str, list[float]] = {name: [] for name in (*_FIGURES, "mean_cost")}
     for _ in range(iterations):
         picks = [grp[rng.randrange(len(grp))] for grp in groups]
-        samples["mean_recovery_time_s"].append(
-            statistics.fmean(p.recovery_time_s for p in picks)
-        )
-        samples["failure_rate_pct"].append(
-            100.0 * sum(1 for p in picks if not p.success) / len(picks)
-        )
-        samples["tokens_skipped_pct"].append(
-            statistics.fmean(p.tokens_skipped_pct for p in picks)
-        )
+        for name, figure in _FIGURES.items():
+            samples[name].append(figure(picks))
         if ok_groups:
             cost_picks = [grp[rng.randrange(len(grp))] for grp in ok_groups]
-            costs = [c for p in cost_picks for c in p.costs]
-            samples["mean_cost"].append(statistics.fmean(costs))
+            samples["mean_cost"].append(_mean_cost(cost_picks))
 
     alpha = (1.0 - confidence) / 2.0
     out = {}

@@ -84,13 +84,16 @@ class Grammar:
 # ---------------------------------------------------------------------------
 # Scanner for the grammar file itself.
 
+# A bare token or rule name, in grammar files and lexer files alike.
+_IDENT_RE = re.compile(r"[A-Za-z_.][A-Za-z_0-9.]*")
+
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+)
     | (?P<comment>/\*.*?\*/|//[^\n]*)
     | (?P<sep>%%)
     | (?P<directive>%[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<ident>[A-Za-z_.][A-Za-z_0-9.]*)
+    | (?P<ident>""" + _IDENT_RE.pattern + r""")
     | (?P<literal>'(?:[^'\\]|\\.)+')
     | (?P<punct>[:|;])
     | (?P<lbrace>\{)
@@ -362,9 +365,6 @@ def parse_grammar(src: str) -> Grammar:
 
 # ---------------------------------------------------------------------------
 # Pretty-printer.  parse_grammar(pretty(g)) reproduces g exactly.
-
-_IDENT_RE = re.compile(r"[A-Za-z_.][A-Za-z_0-9.]*$")
-
 
 def _emit_token(g: Grammar, name: str) -> str:
     if name in g.literals:

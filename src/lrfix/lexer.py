@@ -31,7 +31,7 @@ try:
 except ImportError:  # Python 3.10; importing sre_parse warns on 3.11+
     import sre_parse as _sre
 
-from .grammar import EOF, _unquote
+from .grammar import EOF, _IDENT_RE, _unquote
 
 
 class LexError(Exception):
@@ -74,9 +74,6 @@ class LineIndex:
     def line_col(self, offset: int) -> tuple[int, int]:
         i = bisect_right(self._starts, offset) - 1
         return i + 1, offset - self._starts[i] + 1
-
-
-_NAME_RE = re.compile(r"[A-Za-z_.][A-Za-z_0-9.]*$")
 
 
 # POSSESSIVE_REPEAT and ATOMIC_GROUP are new in Python 3.11.
@@ -192,7 +189,7 @@ class LexSpec:
                 token: str | None = None
             elif name.startswith("'") and name.endswith("'") and len(name) >= 3:
                 token = _unquote(name)
-            elif _NAME_RE.match(name):
+            elif _IDENT_RE.fullmatch(name):
                 token = name
             else:
                 raise LexSpecError(f"line {lineno}: bad token name {name!r}")

@@ -1,10 +1,11 @@
 import functools
 import pathlib
+import sys
 
 import pytest
 from hypothesis import strategies as st
 
-from lrfix import LexSpec, build_tables, parse_grammar
+from lrfix import LexSpec, Repair, build_tables, parse_grammar
 from lrfix.lexer import Token
 from lrfix.lrtable import StateTable
 from lrfix.parser import drive
@@ -13,15 +14,51 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 INPUTS = FIXTURES / "inputs"
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
+# The tests replay repairs with the benchmark gate's checker, ``checks``.
+# Appended, so that no module of the benchmark shadows an installed one.
+sys.path.append(str(PERFBENCH))
+
+I = lambda t: Repair("insert", t)
+D = Repair("delete")
+S = Repair("shift")
+
+# The CLI's output on inputs/mini_java_bad.txt, and with --print-tree on
+# inputs/calc_good.txt.
+MJ_EXPECTED = (
+    "Parsing error at line 2 col 9. Repair sequences found:\n"
+    "  1: Insert ,\n"
+    "  2: Insert =\n"
+    "  3: Delete y\n"
+)
+
+CALC_TREE = (
+    "Expr\n"
+    "  Term\n"
+    "    Factor\n"
+    "      INT 2\n"
+    "  +\n"
+    "  Expr\n"
+    "    Term\n"
+    "      Factor\n"
+    "        INT 3\n"
+)
+
+
+def source_of(stem: str, suffix: str) -> str:
+    """A fixture's grammar (".y") or lexer (".l") file; the stem "clike"
+    names the benchmark's C-like language."""
+    folder = PERFBENCH if stem == "clike" else FIXTURES
+    return (folder / f"{stem}{suffix}").read_text(encoding="utf-8")
+
 
 @functools.lru_cache(maxsize=None)
 def grammar_of(stem: str):
-    return parse_grammar((FIXTURES / f"{stem}.y").read_text(encoding="utf-8"))
+    return parse_grammar(source_of(stem, ".y"))
 
 
 @functools.lru_cache(maxsize=None)
 def lexspec_of(stem: str) -> LexSpec:
-    return LexSpec.parse((FIXTURES / f"{stem}.l").read_text(encoding="utf-8"))
+    return LexSpec.parse(source_of(stem, ".l"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -29,12 +66,9 @@ def table_of(stem: str, merge: bool = True) -> StateTable:
     return build_tables(grammar_of(stem), merge=merge)
 
 
-@functools.lru_cache(maxsize=None)
 def clike() -> tuple[StateTable, LexSpec]:
     """The benchmark's C-like language: its merged table and its lexer."""
-    grammar = parse_grammar((PERFBENCH / "clike.y").read_text(encoding="utf-8"))
-    lexspec = LexSpec.parse((PERFBENCH / "clike.l").read_text(encoding="utf-8"))
-    return build_tables(grammar), lexspec
+    return table_of("clike"), lexspec_of("clike")
 
 
 def toks_of(stem: str, text: str) -> list[Token]:

@@ -13,7 +13,6 @@ import tracemalloc
 import pytest
 
 from lrfix import (
-    Repair,
     min_repair_sequences,
     oracle_min_repairs,
     panic_recover,
@@ -25,8 +24,13 @@ from lrfix.cli import main as cli_main
 from lrfix.parser import RecoveryParams
 
 from conftest import (
-    INPUTS,
+    CALC_TREE,
+    D,
     FIXTURES,
+    I,
+    INPUTS,
+    MJ_EXPECTED,
+    S,
     agreement_dfs,
     err_point,
     first_error,
@@ -36,10 +40,6 @@ from conftest import (
     table_of,
     toks_of,
 )
-
-I = lambda t: Repair("insert", t)
-D = Repair("delete")
-S = Repair("shift")
 
 
 def done(n, slug):
@@ -232,13 +232,6 @@ def test_criterion_08_reversed_ranking_is_never_better():
     )
 
 
-MJ_EXPECTED = (
-    "Parsing error at line 2 col 9. Repair sequences found:\n"
-    "  1: Insert ,\n"
-    "  2: Insert =\n"
-    "  3: Delete y\n"
-)
-
 CALC_BAD_EXPECTED = (
     "Parsing error at line 1 col 3. Repair sequences found:\n"
     "  1: Insert +, Shift 3, Delete +\n"
@@ -247,18 +240,6 @@ CALC_BAD_EXPECTED = (
     "  4: Insert *, Shift 3, Shift +, Insert INT\n"
     "  5: Delete 3, Delete +\n"
     "  6: Delete 3, Shift +, Insert INT\n"
-)
-
-CALC_TREE = (
-    "Expr\n"
-    "  Term\n"
-    "    Factor\n"
-    "      INT 2\n"
-    "  +\n"
-    "  Expr\n"
-    "    Term\n"
-    "      Factor\n"
-    "        INT 3\n"
 )
 
 

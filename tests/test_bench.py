@@ -72,6 +72,17 @@ def test_run_corpus_records_and_skips(tmp_path):
     assert "cpctplus: mean_cost 99% interval [1.0000, 1.0000]" in intervals
 
 
+def test_run_corpus_needs_a_directory_and_ignores_subdirectories(tmp_path):
+    with pytest.raises(NotADirectoryError, match="corpus directory not found"):
+        run_corpus(tmp_path / "nope", STMT_G, STMT_L)
+    (tmp_path / "a.txt").write_text("x = 1 ;\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.txt").write_text("x = 1 ;\n")
+    records, summary = run_corpus(tmp_path, STMT_G, STMT_L, repeats=1)
+    assert [r.file for r in records] == ["a.txt"]
+    assert summary.skipped_files == []
+
+
 def test_failed_runs_keep_time_but_not_costs(tmp_path):
     (tmp_path / "x.txt").write_text("x = 1 1 ;\n")
     from lrfix.parser import RecoveryParams
@@ -246,6 +257,12 @@ def test_single_edit_usually_breaks_the_file():
     assert sum(1 for r in records if r.error_locations > 0) > len(files) // 2
 
 
+def test_a_file_without_tokens_survives_mutation():
+    assert mutate_corpus([("e.txt", ""), ("w.txt", " \n")], STMT_L, seed=1) == [
+        ("e.txt", "\n"), ("w.txt", "\n"),
+    ]
+
+
 def test_mutated_files_remain_lexable_here():
     # token-level edits over this lexer cannot manufacture unlexable text
     files = mutate_corpus(clean_files(), STMT_L, seed=11, edits_per_file=3)
@@ -272,15 +289,31 @@ def test_main_prints_the_table_and_writes_the_csv(tmp_path, capsys):
     (corpus / "a.txt").write_text("x = 1 ;\n")
     (corpus / "b.txt").write_text("x = 1 1 ;\n")
     out = tmp_path / "runs.csv"
-    code = main([*STMT_ARGS, str(corpus), "--repeats", "2", "--csv", str(out)])
+    code = main([*STMT_ARGS, str(corpus), "--repeats", "2", "--csv", str(out),
+                 "--bootstrap", "20"])
     assert code == 0
-    assert "cpctplus" in capsys.readouterr().out
+    intervals = [line for line in capsys.readouterr().out.splitlines() if "interval" in line]
+    assert intervals == [
+        "cpctplus: failure_rate_pct 99% interval [0.0000, 0.0000]",
+        "cpctplus: mean_cost 99% interval [1.0000, 1.0000]",
+        intervals[2],
+        "cpctplus: tokens_skipped_pct 99% interval [10.0000, 10.0000]",
+    ]
+    assert intervals[2].startswith("cpctplus: mean_recovery_time_s 99% interval [")
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == CSV_COLUMNS
     assert [(r[0], r[1]) for r in rows[1:]] == [
         ("a.txt", "0"), ("a.txt", "1"), ("b.txt", "0"), ("b.txt", "1"),
     ]
+
+
+def test_main_rejects_a_missing_lexer_file(tmp_path, capsys):
+    missing = tmp_path / "nope.l"
+    assert main([str(missing), str(FIXTURES / "stmt.y"), str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"bench: [Errno 2] No such file or directory: '{missing}'\n"
+    )
 
 
 def test_main_rejects_a_missing_corpus_directory(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from lrfix import parse, tree_text
 from lrfix.cli import main
 
-from conftest import FIXTURES, INPUTS, table_of, toks_of
+from conftest import CALC_TREE, FIXTURES, INPUTS, MJ_EXPECTED, table_of, toks_of
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -14,25 +14,6 @@ CALC_L = str(FIXTURES / "calc.l")
 CALC_Y = str(FIXTURES / "calc.y")
 MJ_L = str(FIXTURES / "mini_java.l")
 MJ_Y = str(FIXTURES / "mini_java.y")
-
-MJ_EXPECTED = (
-    "Parsing error at line 2 col 9. Repair sequences found:\n"
-    "  1: Insert ,\n"
-    "  2: Insert =\n"
-    "  3: Delete y\n"
-)
-
-CALC_TREE = (
-    "Expr\n"
-    "  Term\n"
-    "    Factor\n"
-    "      INT 2\n"
-    "  +\n"
-    "  Expr\n"
-    "    Term\n"
-    "      Factor\n"
-    "        INT 3\n"
-)
 
 
 def test_clean_parse_exits_zero(capsys):

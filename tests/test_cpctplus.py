@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 from lrfix import (
     ParserInternalError,
     RecoveryParams,
-    Repair,
     build_tables,
-    lr_step,
     min_repair_sequences,
     oracle_min_repairs,
     parse,
@@ -23,14 +21,11 @@ from lrfix import cpctplus
 from lrfix.lrtable import ACCEPT_CELL
 from lrfix.parser import RECOVERERS, drive
 
+from checks import check_file, replays
 from conftest import (
-    INPUTS, clike, err_point, first_error, grammar_of, small_grammars, synth_toks, table_of,
-    toks_of,
+    INPUTS, D, I, S, clike, err_point, first_error, grammar_of, small_grammars, synth_toks,
+    table_of, toks_of,
 )
-
-I = lambda t: Repair("insert", t)
-D = Repair("delete")
-S = Repair("shift")
 
 
 def test_dangling_operand_inserts_int():
@@ -346,36 +341,6 @@ def test_oracle_matches_on_known_cases():
         assert raw.sequences == seqs
 
 
-def replays(t, stack, ids, idx, seq, n_shifts):
-    """Apply ``seq`` with ``lr_step`` on a copy of ``stack``; does every
-    edit shift, and do ``n_shifts`` real tokens then shift (or accept)?"""
-    stack = list(stack)
-
-    def feed(tok):
-        while True:
-            kind = lr_step(t, stack, tok)[0]
-            if kind != "reduce":
-                return kind
-
-    for r in seq:
-        if r.kind == "delete":
-            idx += 1
-            continue
-        tok = r.token if r.kind == "insert" else t.tokens[ids[idx]]
-        if r.kind == "shift":
-            idx += 1
-        if feed(tok) != "shift":
-            return False
-    for _ in range(n_shifts):
-        kind = feed(t.tokens[ids[idx]])
-        if kind == "accept":
-            return True
-        if kind != "shift":
-            return False
-        idx += 1
-    return True
-
-
 NO_REPLAYABLE_REPAIR = {
     # Error at end of input on stack 0 1 1 4.  Inserting 'a', reducing
     # under end of input (C, then A: %empty in state 3, then A: a C A) and
@@ -448,9 +413,10 @@ def test_oracle_agreement_random_short_strings(names):
     assert raw.cost == cost
     assert raw.sequences == seqs
     out = repair_search(t, stack, ids, idx)
+    types = [t.tokens[i] for i in ids]
     n_shifts = RecoveryParams().n_shifts
     for seq in out.sequences:
-        assert replays(t, stack, ids, idx, seq, n_shifts), seq
+        assert replays(t, stack, types, idx, seq, n_shifts), seq
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,8 +455,9 @@ def test_search_equals_oracle_on_small_grammars(case, merge, merge_search, data)
     stack, idx = hit
     raw = min_repair_sequences(t, stack, ids, idx, params, budget_s=5, merge=merge_search)
     assert (raw.cost, raw.sequences) == found
+    types = [t.tokens[i] for i in ids]
     for seq in raw.sequences:
-        assert replays(t, stack, ids, idx, seq, params.n_shifts), seq
+        assert replays(t, stack, types, idx, seq, params.n_shifts), seq
     out = repair_search(t, stack, ids, idx, params, budget_s=5, merge=merge_search)
     assert {tuple(seq) for seq in out.sequences} <= raw.sequences
 
@@ -498,8 +465,11 @@ def test_search_equals_oracle_on_small_grammars(case, merge, merge_search, data)
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(["INT", "+", "*", "(", ")"]), max_size=8))
 def test_parse_with_recovery_terminates_and_accounts(names):
+    # ``check_file`` also replays every reported sequence at every location.
     t = table_of("calc")
-    r = parse(t, synth_toks(t, names))
+    toks = synth_toks(t, names)
+    r = parse(t, toks)
+    check_file(t, toks, r, RecoveryParams())
     assert r.stats.real_tokens == len(names)
     assert 0.0 <= r.stats.tokens_skipped_pct <= 100.0
     if r.success:
@@ -507,6 +477,19 @@ def test_parse_with_recovery_terminates_and_accounts(names):
         assert r.tree is not None or names == []
     else:
         assert r.reports and not r.reports[-1].success
+
+
+@pytest.mark.parametrize("merge", [True, False])
+def test_an_empty_language_empties_the_frontier(merge):
+    # S: S 'a' derives no string, so no repair exists and the search stops
+    # when its frontier runs out, long before the 30 s budget would.
+    t = build_tables(parse_grammar("%token a\n%%\nS: S 'a';"), merge=merge)
+    ids = [t.token_index[x.type] for x in synth_toks(t, ["a"])]
+    assert first_error(t, ids) == ([0], 0)
+    t0 = time.monotonic()
+    assert min_repair_sequences(t, [0], ids, 0, budget_s=30.0) is None
+    assert repair_search(t, [0], ids, 0, budget_s=30.0) is None
+    assert time.monotonic() - t0 < 3.0
 
 
 def test_search_is_fast_on_small_inputs():
@@ -653,9 +636,10 @@ def test_golden_reported_order_does_not_depend_on_merging(name):
 def test_every_golden_sequence_replays(name, mode):
     t, stack, ids, idx = golden_point(name)
     (_, sequences, _), _, _ = search_outcome(name, mode)
+    types = [t.tokens[i] for i in ids]
     n_shifts = RecoveryParams().n_shifts
     for seq in sequences:
-        assert replays(t, stack, ids, idx, seq, n_shifts), seq
+        assert replays(t, stack, types, idx, seq, n_shifts), seq
 
 
 @pytest.mark.parametrize("name,mode", GOLDEN_POINTS)

@@ -107,6 +107,8 @@ def test_rejects(text, fragment):
         ("%token N\n%right NEG\n%%\nE: '-' E %prec NEG | N;", [("-", "E"), ("N",)]),
         # The literal '\t' names a backslash and a 't', as it does in a lexer file.
         ("%%\nS: 'a\\'b' '\\\\' '\\n' '\\t';", [("a'b", "\\", "\n", "\\t")]),
+        # An escaped quote inside a string in an action does not end it.
+        ("%%\nS: 'a' { s = \"\\\"}\"; c = '\\''; } ;", [("a",)]),
     ],
 )
 def test_accepts_and_round_trips(text, bodies):

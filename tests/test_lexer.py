@@ -1,4 +1,3 @@
-import pathlib
 import re
 import string
 import sys
@@ -11,8 +10,6 @@ from lrfix import LexError, LexSpec, LexSpecError, LineIndex
 from lrfix.lexer import Token, _first_chars
 
 from conftest import lexspec_of
-
-PERFBENCH = pathlib.Path(__file__).parent.parent / "perfbench"
 
 
 def types(spec, text):
@@ -65,6 +62,8 @@ def test_lex_error_position():
         "x* 'X'",           # may match empty
         "a '$'",            # reserved name
         "justapattern",     # no name field
+        "[0-9]+ 9INT",      # bad token name
+        "# a comment\n",    # no rules
     ],
 )
 def test_bad_specs_rejected(spec_text):
@@ -188,7 +187,7 @@ def test_first_character_dispatch_lexes_like_trying_every_rule(rules, data):
 
 def test_clike_regexes_have_finite_first_characters():
     # A silent fallback to trying a rule at every character would show here.
-    spec = LexSpec.parse((PERFBENCH / "clike.l").read_text(encoding="utf-8"))
+    spec = lexspec_of("clike")
     regexes = {
         r"[A-Za-z_][A-Za-z0-9_]*": string.ascii_letters + "_",
         r"[0-9]+": string.digits,

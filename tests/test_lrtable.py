@@ -1,8 +1,6 @@
 import collections
 import dataclasses
-import functools
 import hashlib
-import pathlib
 import tracemalloc
 
 import pytest
@@ -11,9 +9,7 @@ from hypothesis import assume, given, settings
 from lrfix import EOF, StateGraph, StateTable, build_tables, parse, parse_grammar
 from lrfix.lrtable import ACCEPT_CELL, ERROR_CELL, cell_arg, cell_kind, reduce_cell
 
-from conftest import FIXTURES, agreement_dfs, small_grammars, synth_toks, table_of
-
-CLIKE = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "clike.y"
+from conftest import FIXTURES, agreement_dfs, grammar_of, small_grammars, synth_toks, table_of
 
 
 def ids(table, names):
@@ -195,13 +191,6 @@ GOLDEN = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def pinned_table(stem, merge):
-    if stem != "clike":
-        return table_of(stem, merge)
-    return build_tables(parse_grammar(CLIKE.read_text(encoding="utf-8")), merge=merge)
-
-
 def test_golden_covers_every_fixture_grammar():
     stems = {p.stem for p in FIXTURES.glob("*.y")} | {"clike"}
     assert set(GOLDEN) == {(stem, merge) for stem in stems for merge in (True, False)}
@@ -209,14 +198,14 @@ def test_golden_covers_every_fixture_grammar():
 
 @pytest.mark.parametrize("stem,merge", sorted(GOLDEN), ids=str)
 def test_tables_match_golden_digest(stem, merge):
-    t = pinned_table(stem, merge)
+    t = table_of(stem, merge)
     blob = repr((t.n_states, t.act, t.goto, [c.describe() for c in t.conflicts], t.graph.dump()))
     assert hashlib.sha256(blob.encode()).hexdigest() == GOLDEN[stem, merge]
 
 
 @pytest.mark.parametrize("stem,merge", sorted(GOLDEN), ids=str)
 def test_live_terms_are_the_non_error_terminals_before_eof(stem, merge):
-    t = pinned_table(stem, merge)
+    t = table_of(stem, merge)
     assert len(t.live_terms) == t.n_states
     for s, row in enumerate(t.live_terms):
         assert row == tuple(x for x in range(t.eof) if t.act[s][x] != ERROR_CELL)
@@ -233,7 +222,7 @@ RESOLVED = {
 
 @pytest.mark.parametrize("merge,n_states", [(True, 146), (False, 378)])
 def test_clike_keeps_only_the_dangling_else_conflict(merge, n_states):
-    t = pinned_table("clike", merge)
+    t = table_of("clike", merge)
     assert t.n_states == n_states
     [c] = t.conflicts
     assert (c.kind, c.token) == ("shift/reduce", "else")
@@ -471,12 +460,12 @@ def test_bitmask_builder_matches_the_set_reference(merge, case):
 @pytest.mark.parametrize("stem", ["calc", "stmt", "mini_java", "clike"])
 @pytest.mark.parametrize("merge", [True, False])
 def test_bitmask_builder_matches_the_set_reference_on_fixtures(stem, merge):
-    g = pinned_table(stem, merge).grammar
+    g = table_of(stem, merge).grammar
     assert_same_tables(g, merge)
 
 
 def test_canonical_clike_build_stays_small():
-    g = parse_grammar(CLIKE.read_text(encoding="utf-8"))
+    g = grammar_of("clike")
     tracemalloc.start()
     try:
         t = build_tables(g, merge=False)
