@@ -327,8 +327,8 @@ def format_summary_table(summaries: Sequence[SummaryStats]) -> str:
         "recoverer",
         "files",
         "runs",
-        "mean time (s)",
-        "median (s)",
+        "mean time (ms)",
+        "median (ms)",
         "mean cost",
         "fail %",
         "skipped %",
@@ -341,8 +341,8 @@ def format_summary_table(summaries: Sequence[SummaryStats]) -> str:
                 s.recoverer,
                 str(s.files),
                 str(s.runs),
-                f"{s.mean_recovery_time_s:.4f}",
-                f"{s.median_recovery_time_s:.4f}",
+                f"{s.mean_recovery_time_s * 1e3:.3f}",
+                f"{s.median_recovery_time_s * 1e3:.3f}",
                 "-" if s.mean_cost is None else f"{s.mean_cost:.2f}",
                 f"{s.failure_rate_pct:.1f}",
                 f"{s.tokens_skipped_pct:.1f}",

@@ -23,9 +23,11 @@ completions costs more than one the search already reaches, and none can
 be of minimum cost.  No arrival is ever cheaper than the first, because
 the key fixes the cost of the move that reaches it (a shift or the accept
 check is free, a delete costs 1, and an insert costs what the token
-entering the top state does), buckets drain in cost order, and a bucket's
-edits are built before the next one drains.  Without merging each path
-is a configuration of its own, so none arrives twice and no table is kept.
+entering the top state does) and whether that move is dead (see below),
+buckets drain in cost order, a bucket's live edits are built before the
+next one drains, and its dead edits before the one after that drains.
+Without merging each path is a configuration of its own, so none arrives
+twice and no table is kept.
 
 All search state is plain ints.  Stacks are hash-consed (Filliâtre &
 Conchon, "Type-safe modular hash-consing", ML Workshop 2006), so equal
@@ -37,11 +39,21 @@ A popped configuration first gets only its zero-cost moves (shifts and
 reductions), which stay in its bucket.  Every edit costs at least 1 and
 lands in a costlier bucket, so a bucket's inserts and deletes are built
 only once it drains without a success, in pop order; that fills the
-costlier buckets exactly as building them at each pop would.  Once a
-bucket holds a success, the rest of it is drained so the *complete* set
-of minimum-cost sequences is collected, its edits are never built, and
-everything costlier is dropped.  Inserts are only tried for the
-terminals whose action on top of the stack is not an error
+costlier buckets exactly as building them at each pop would.  Even then
+only its *live* edits are built.  An edit is dead when the next token
+meets an error cell on its new top state: it can neither succeed nor
+make a zero-cost move, and whether it is dead depends only on its key.
+A bucket's dead edits wait until the next bucket has drained without a
+success too; then they are built, what they add to that bucket is
+drained, and only then are that bucket's own live edits built (partial
+expansion: Yoshizumi, Miura & Ishida, "A* with Partial Expansion for
+Large Branching Factor Problems", AAAI 2000).  So the bucket holding the
+cheapest success never receives the dead edits of the one below, and the
+frontier has run out only when no bucket and no waiting edits are left.
+Once a bucket holds a success, the rest of it is drained so the
+*complete* set of minimum-cost sequences is collected, its edits are
+never built, and everything costlier is dropped.  Inserts are only tried
+for the terminals whose action on top of the stack is not an error
 (``StateTable.live_terms``), and one pass over those terminals, grouped
 by their action, runs each reduction once for every terminal that needs
 it.
@@ -78,7 +90,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .lrtable import ACCEPT_CELL, StateTable
+from .lrtable import ACCEPT_CELL, ERROR_CELL, StateTable
 from .parser import (
     ParserInternalError, RecoveryParams, ReduceChainError, Repair, REDUCE_CHAIN_LIMIT, drive,
 )
@@ -110,8 +122,10 @@ class RawSearch:
     own.  ``merges`` counts the paths grafted onto the first arrival at the
     same configuration and cost, successes included, until the search
     stopped; costlier arrivals are dropped, not counted.  A bucket's edits
-    are built only after it drains without a success, so the minimum-cost
-    bucket's edits, and the merges they would make, never happen.
+    are built only after it drains without a success, and its dead edits
+    only after the next bucket does too, so neither the minimum-cost
+    bucket's edits nor the dead edits of the bucket below it, nor the
+    merges they would make, ever happen.
     """
 
     cost: int
@@ -366,22 +380,40 @@ class _Search:
         self._add(cost, rm, self.shift_c, ref, offset + shifted, tail + shifted, False)
 
     def _edit_moves(self, cost: int, rm: int, ref: int, offset: int,
-                    after_delete: bool) -> None:
-        """Queue the inserts and the delete, each at a higher cost.
+                    after_delete: bool, dead: bool) -> None:
+        """Queue the live inserts and delete, or with ``dead`` the others,
+        each at a higher cost.  An edit is dead when the next token meets
+        an error cell on its new top state: it can neither succeed nor make
+        a zero-cost move, so it is only a step towards costlier edits.
 
         Inserts come in token declaration order, and only of the terminals
         with a non-error action on top of the stack.  An insert directly
         after a delete is suppressed: the same effect is always reachable
         as insert-then-delete, so exploring both just doubles the frontier.
         """
-        add = self._add
+        add, act, n = self._add, self.act, self.n_states
+        tok = self.tok_ids[offset]
         if not after_delete:
             insert_cost = self.insert_cost
             for t, inserted in self._inserts(ref):
-                add(cost + insert_cost[t], rm, t, inserted, offset, 0, False)
+                if (act[inserted % n][tok] == ERROR_CELL) == dead:
+                    add(cost + insert_cost[t], rm, t, inserted, offset, 0, False)
         # Delete the next real token (never end-of-input).
-        if self.tok_ids[offset] != self.eof:
+        if tok != self.eof and (act[ref % n][self.tok_ids[offset + 1]] == ERROR_CELL) == dead:
             add(cost + 1, rm, self.eof, ref, offset + 1, 0, True)
+
+    def _edits(self, cost: int, configs: list[int], dead: bool) -> None:
+        """``_edit_moves`` for each ``key, node`` pair of ``configs``, all
+        expanded at ``cost``, in order; raises _OutOfTime past the
+        deadline."""
+        ref_shift, off_shift, off_mask = self.ref_shift, self.off_shift, self.off_mask
+        monotonic, deadline = time.monotonic, self.deadline
+        for i in range(0, len(configs), 2):
+            if monotonic() > deadline:
+                raise _OutOfTime
+            key = configs[i]
+            self._edit_moves(cost, configs[i + 1], key >> ref_shift,
+                             key >> off_shift & off_mask, key & 1, dead)
 
     # -- main loop ------------------------------------------------------------------
 
@@ -397,40 +429,46 @@ class _Search:
         monotonic = time.monotonic
         deadline = self.deadline
         successes = []
+        pending: list[int] = []  # the bucket below's configurations, dead edits unbuilt
+        todo = self.todo
         cost = 0
-        while cost < len(self.todo):
-            bucket = self.todo[cost]
+        while cost < len(todo) or pending:
+            if cost == len(todo):
+                todo.append([])
+            bucket = todo[cost]
             expanded = []
-            while bucket:
-                if monotonic() > deadline:
-                    raise _OutOfTime
-                rm = bucket.pop()
-                key = bucket.pop()
-                ref = key >> ref_shift
-                offset = key >> off_shift & off_mask
-                tail = key >> 1 & tail_mask
-                if act[ref % n][tok_ids[offset]] == ACCEPT_CELL or tail >= n_shifts:
-                    # Successes are not expanded; one reached again is
-                    # grafted onto ``rm`` like any other configuration.
-                    successes.append((ref, offset, rm))
-                    continue
-                self._zero_cost_moves(cost, rm, ref, offset, tail, key & 1)
-                expanded.append(key)
-                expanded.append(rm)
-            if successes:
-                self.c_max = cost
-                self.todo.clear()  # the costlier buckets
-                return successes
-            # The bucket drained without a success, so its edits are
-            # needed after all.  They land only in costlier buckets, so
-            # building them now, in pop order, fills those buckets exactly
-            # as building them at each pop would have.
-            for i in range(0, len(expanded), 2):
-                if monotonic() > deadline:
-                    raise _OutOfTime
-                key = expanded[i]
-                self._edit_moves(cost, expanded[i + 1], key >> ref_shift,
-                                 key >> off_shift & off_mask, key & 1)
+            while True:
+                while bucket:
+                    if monotonic() > deadline:
+                        raise _OutOfTime
+                    rm = bucket.pop()
+                    key = bucket.pop()
+                    ref = key >> ref_shift
+                    offset = key >> off_shift & off_mask
+                    tail = key >> 1 & tail_mask
+                    if act[ref % n][tok_ids[offset]] == ACCEPT_CELL or tail >= n_shifts:
+                        # Successes are not expanded; one reached again is
+                        # grafted onto ``rm`` like any other configuration.
+                        successes.append((ref, offset, rm))
+                        continue
+                    self._zero_cost_moves(cost, rm, ref, offset, tail, key & 1)
+                    expanded.append(key)
+                    expanded.append(rm)
+                if successes:
+                    self.c_max = cost
+                    todo.clear()  # the costlier buckets
+                    return successes
+                if not pending:
+                    break
+                # The bucket drained without a success, so the dead edits of
+                # the one below are needed after all; drain what they add.
+                self._edits(cost - 1, pending, True)
+                pending = []
+            # Its live edits land only in costlier buckets, so building them
+            # now, in pop order, fills those buckets as building them at
+            # each pop would have; its dead edits wait for the next bucket.
+            self._edits(cost, expanded, False)
+            pending = expanded
             cost += 1
         return []
 

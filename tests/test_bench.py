@@ -270,6 +270,14 @@ def test_mutated_files_remain_lexable_here():
         STMT_L.lex(text)
 
 
+def test_the_table_prints_recovery_times_in_milliseconds():
+    # A recoverer that takes microseconds still reads as a number, not 0.
+    records = [rec("a", 0, 20e-6), rec("a", 1, 30e-6), rec("b", 0, 70e-6)]
+    header, _, row = format_summary_table([summarize(records)]).splitlines()[:3]
+    assert "mean time (ms)" in header and "median (ms)" in header
+    assert row.split()[3:5] == ["0.040", "0.030"]
+
+
 def test_summarize_handles_empty():
     s = summarize([])
     assert s.runs == 0 and s.files == 0

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import hashlib
+import random
 import time
 import tracemalloc
 
@@ -18,9 +20,11 @@ from lrfix import (
     repair_search,
 )
 from lrfix import cpctplus
-from lrfix.lrtable import ACCEPT_CELL
+from lrfix.bench import mutate_corpus
+from lrfix.lrtable import ACCEPT_CELL, ERROR_CELL
 from lrfix.parser import RECOVERERS, drive
 
+import gen
 from checks import check_file, replays
 from conftest import (
     INPUTS, D, I, S, clike, err_point, first_error, grammar_of, small_grammars, synth_toks,
@@ -103,6 +107,45 @@ def test_weighted_inserts_change_the_minimum():
     raw = min_repair_sequences(t, stack, ids, idx, params)
     assert raw.cost == 2
     assert raw.sequences == {(D, D), (I("*"), S, D), (I("+"), S, D)}
+
+
+# Errors in calc where inserting '(' is a dead end: the next token then
+# meets an error cell, so the insert waits until the next cost level has
+# failed, yet minimum-cost sequences pass through it.  Each entry: the
+# cost and set with every insert at 1, then with '(' at 2, where the
+# deferred insert lands two cost levels up.
+DEAD_ARRIVALS = {
+    ")": ((2, {(I("("), I("INT")), (I("INT"), D)}),
+          (2, {(I("INT"), D)})),
+    "+ )": ((3, {(I("("), I("INT"), D), (I("("), I("INT"), S, I("INT")), (I("INT"), D, D),
+                 (I("INT"), S, I("("), I("INT")), (I("INT"), S, I("INT"), D)}),
+            (3, {(I("INT"), D, D), (I("INT"), S, I("INT"), D)})),
+}
+
+
+def paren_costs_2(tok):
+    return 2 if tok == "(" else 1
+
+
+@pytest.mark.parametrize("merge", [True, False], ids=["merge", "no_merge"])
+@pytest.mark.parametrize("table_merge", [True, False], ids=["lalr", "canonical"])
+@pytest.mark.parametrize("text", sorted(DEAD_ARRIVALS))
+def test_minimum_cost_paths_through_a_dead_arrival(text, table_merge, merge):
+    t = table_of("calc", table_merge)
+    ids = [t.token_index[x.type] for x in synth_toks(t, text.split())]
+    stack, idx = first_error(t, ids)
+    inserted = list(stack)
+    drive(t, inserted, [t.token_index["("]], 0, 1)
+    assert t.act[inserted[-1]][ids[idx]] == ERROR_CELL
+    plain, dear = DEAD_ARRIVALS[text]
+    for params, insert_cost, expected in (
+        (RecoveryParams(), None, plain),
+        (RecoveryParams(insert_cost=paren_costs_2),
+         [paren_costs_2(tok) for tok in t.tokens[: t.eof]], dear),
+    ):
+        raw = min_repair_sequences(t, stack, ids, idx, params, merge=merge)
+        assert (raw.cost, raw.sequences) == expected
+        assert oracle_min_repairs(t, list(stack), ids, idx, insert_cost=insert_cost) == expected
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0])
@@ -562,13 +605,13 @@ def search_outcome(name, mode):
 
 # Each golden point and search mode: (sha256 of the outcome's repr,
 # success configurations, merges).  Unlike the outcome, both counts depend
-# on how the search folds paths together and how far past the minimum cost
-# it builds the frontier.  Shift style 1 finds no repair for calc_bad and
+# on how the search folds paths together and which edits it builds into
+# the minimum-cost bucket.  Shift style 1 finds no repair for calc_bad and
 # searches until its budget runs out, so that one pair is left out.
 GOLDEN_SEARCH = {
-    ("calc_bad", "ranked"): ("d7cc6b0e32c0ac42c0a466102439d9454e53f92f4f125c73c5040b9e8c2ac277", 2, 5),
-    ("calc_bad", "style2"): ("ab98ebf9436769216814b2e7ca13de9b85f6286daf8d31cb9517be8e4f0cb9e0", 2, 3),
-    ("calc_bad", "style3"): ("225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f", 2, 5),
+    ("calc_bad", "ranked"): ("d7cc6b0e32c0ac42c0a466102439d9454e53f92f4f125c73c5040b9e8c2ac277", 2, 4),
+    ("calc_bad", "style2"): ("ab98ebf9436769216814b2e7ca13de9b85f6286daf8d31cb9517be8e4f0cb9e0", 2, 2),
+    ("calc_bad", "style3"): ("225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f", 2, 4),
     ("calc_bad", "unmerged"): ("225c161fcce1be4c60d8e9368dad66bced8ccfa9077aa8499b74ce7e2636e93f", 6, 0),
     ("calc_double_plus", "ranked"): ("c2aabd8d50444d49afb276ffc5706147f7bbef3c2a60edc453c50f57f9eb7e5a", 2, 0),
     ("calc_double_plus", "style1"): ("7cc5215f913be8150635e38db4fa989195ea147ccb02c84fef80b263d43f8f76", 2, 0),
@@ -580,28 +623,28 @@ GOLDEN_SEARCH = {
     ("mini_java_bad", "style2"): ("ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0", 2, 1),
     ("mini_java_bad", "style3"): ("ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0", 2, 1),
     ("mini_java_bad", "unmerged"): ("ddf663c8867da92a2433aaa188511320d68a30fcb3acb42ff2ad36d5faced9a0", 3, 0),
-    ("clike_open_paren", "ranked"): ("5c49028aa53823fce01eba568312ce571186ff019fce285e2ca1706aa6948724", 1, 44),
-    ("clike_open_paren", "style1"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 1, 44),
-    ("clike_open_paren", "style2"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 1, 44),
-    ("clike_open_paren", "style3"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 1, 44),
+    ("clike_open_paren", "ranked"): ("5c49028aa53823fce01eba568312ce571186ff019fce285e2ca1706aa6948724", 1, 6),
+    ("clike_open_paren", "style1"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 1, 6),
+    ("clike_open_paren", "style2"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 1, 6),
+    ("clike_open_paren", "style3"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 1, 6),
     ("clike_open_paren", "unmerged"): ("461048b9e2b39fcf6b8d3f5d1578930b63d4e37d9cbfcd9b1247564838e1d50b", 3, 0),
-    ("clike_if_assign", "ranked"): ("5db3b5770b27e422b76062e0ab420fe1888db66ed25761402d938b0256b12efc", 1, 147),
-    ("clike_if_assign", "style1"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 1, 147),
-    ("clike_if_assign", "style2"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 1, 147),
-    ("clike_if_assign", "style3"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 1, 147),
+    ("clike_if_assign", "ranked"): ("5db3b5770b27e422b76062e0ab420fe1888db66ed25761402d938b0256b12efc", 1, 75),
+    ("clike_if_assign", "style1"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 1, 75),
+    ("clike_if_assign", "style2"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 1, 75),
+    ("clike_if_assign", "style3"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 1, 75),
     ("clike_if_assign", "unmerged"): ("e10f60d3f316189b7c3528c40600ce25c68f83a235cd139e7d885e5038ba64b6", 6, 0),
-    ("clike_closed_paren", "ranked"): ("af506726920e6c0d4a4ad3a4d2fa7fb80277a8907beea8d404c54dd3d9556030", 1, 55),
-    ("clike_closed_paren", "style1"): ("70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b", 1, 53),
-    ("clike_closed_paren", "style2"): ("70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b", 1, 53),
-    ("clike_closed_paren", "style3"): ("52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d", 1, 55),
+    ("clike_closed_paren", "ranked"): ("af506726920e6c0d4a4ad3a4d2fa7fb80277a8907beea8d404c54dd3d9556030", 1, 19),
+    ("clike_closed_paren", "style1"): ("70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b", 1, 17),
+    ("clike_closed_paren", "style2"): ("70fa5b2b3c7d1e019d26b7e386f519e987653f916951d7480d3606feffc56f9b", 1, 17),
+    ("clike_closed_paren", "style3"): ("52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d", 1, 19),
     ("clike_closed_paren", "unmerged"): ("52efbe0214a02e3f78f093da0fbb230cf42aeeca1033e7f7e12b8d0e23c39b6d", 12, 0),
-    ("clike_three_ids", "ranked"): ("33094bd4787aa667fe9e14c58f1dbf13b0162ceb5a9646e5f31d2a5964288345", 3, 406),
-    ("clike_three_ids", "style1"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 3, 406),
-    ("clike_three_ids", "style2"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 3, 406),
-    ("clike_three_ids", "style3"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 3, 406),
+    ("clike_three_ids", "ranked"): ("33094bd4787aa667fe9e14c58f1dbf13b0162ceb5a9646e5f31d2a5964288345", 3, 404),
+    ("clike_three_ids", "style1"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 3, 404),
+    ("clike_three_ids", "style2"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 3, 404),
+    ("clike_three_ids", "style3"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 3, 404),
     ("clike_three_ids", "unmerged"): ("97a02a216fb0cbe723c43b6b308aacc03014446aa1084c3a51071825cfc39b81", 401, 0),
-    ("calc_bad", "weighted_deterministic"): ("7af5d8432a2d1ef6f0d1ee72105557851daa8b71621afede5d8ac0527d671ea9", 1, 4),
-    ("calc_bad", "weighted_style3"): ("514b552098c01af271511cec33588440538e760aa162a4e5aabfd795b5ea11b2", 1, 4),
+    ("calc_bad", "weighted_deterministic"): ("7af5d8432a2d1ef6f0d1ee72105557851daa8b71621afede5d8ac0527d671ea9", 1, 3),
+    ("calc_bad", "weighted_style3"): ("514b552098c01af271511cec33588440538e760aa162a4e5aabfd795b5ea11b2", 1, 3),
     ("calc_double_plus", "weighted_deterministic"): ("771406b2a4fce5e1fd3c37fd266a849de00dd6bf8f2f064fe70f1096ca738b24", 1, 0),
     ("calc_double_plus", "weighted_style3"): ("a91be2d6a6bb9ad5c0108afac2b6a33c4c31821619eeeb6622902919d06a433e", 1, 0),
     ("clike_open_paren", "weighted_deterministic"): ("520c94d73e726f710eadf29d362fc901731065222ec6ce2164a357ebc2766fdd", 1, 0),
@@ -657,6 +700,26 @@ def test_no_edits_are_built_at_the_minimum_cost(name, mode, monkeypatch):
     monkeypatch.setattr(cpctplus._Search, "_edit_moves", spy)
     (cost, *_), _, _ = search_outcome(name, mode)
     assert costs and max(costs) < cost
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_no_dead_edit_reaches_the_minimum_cost(name, mode, monkeypatch):
+    # An insert or delete whose next token meets an error cell on its top
+    # state can neither succeed nor move at its own cost, so it is built
+    # only once the next cost level has failed: the bucket holding the
+    # cheapest success never receives one.
+    dead = []
+    add = cpctplus._Search._add
+
+    def spy(self, cost, rm, code, stack, offset, tail, after_delete):
+        if (code not in (cpctplus.NO_REPAIR, self.shift_c)
+                and self.act[self.stack_list(stack)[-1]][self.tok_ids[offset]] == ERROR_CELL):
+            dead.append(cost)
+        return add(self, cost, rm, code, stack, offset, tail, after_delete)
+
+    monkeypatch.setattr(cpctplus._Search, "_add", spy)
+    (cost, *_), _, _ = search_outcome(name, mode)
+    assert cost not in dead
 
 
 @pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
@@ -728,3 +791,62 @@ def test_expansion_yields_each_sequence_once(name, mode, monkeypatch):
     assert expanded
     for seqs in expanded:
         assert len(set(seqs)) == len(seqs)
+
+
+# The recipe: 120 generated C-like programs of about 150 tokens with four
+# random edits each, parsed on the merged table with a 30 s budget that no
+# location runs out of.  Per recoverer: error locations, sequences, and
+# one sha256 over each location's (offset, success, cost, sequences,
+# applied), in order.
+RECIPE = {
+    "cpctplus": (478, 4520, "df0843d8193130f52b3a095f6b39e3aa4f6d8285db05da96ffa48a71bf5a006d"),
+    "cpctplus-rev": (619, 2380, "8ace208f6495b3567cb16d10d08d883e144cdf39f214a5686ad66e7f47b65bb3"),
+    "panic": (966, 0, "3b31b5b5109be723c7e443132ef13f26bdff078089b16eacc82c255e8cd0bcae"),
+}
+# Repair-DAG nodes that cpctplus makes over the recipe: 38,259 when dead
+# edits wait for the next cost level to fail, 71,403 when they do not.
+RECIPE_NODE_CEILING = 40_000
+
+
+@functools.lru_cache(maxsize=None)
+def recipe_files():
+    _, lexspec = clike()
+    rng = random.Random(1)
+    files = [(f"{i}.c", gen.program(rng, 150)[0]) for i in range(120)]
+    return [(text, lexspec.lex(text)) for _, text in
+            mutate_corpus(files, lexspec, seed=1, edits_per_file=4)]
+
+
+def recipe_reports(recoverer):
+    t, _ = clike()
+    params = RecoveryParams(timeout_s=30)
+    for text, toks in recipe_files():
+        yield from parse(t, toks, text, recoverer=recoverer, params=params).reports
+
+
+@pytest.mark.parametrize("recoverer", sorted(RECIPE))
+def test_recipe_outcomes_match_golden_digest(recoverer):
+    digest = hashlib.sha256()
+    locations = sequences = 0
+    for r in recipe_reports(recoverer):
+        digest.update(repr((r.offset, r.success, r.cost, r.sequences, r.applied)).encode())
+        locations += 1
+        sequences += len(r.sequences)
+    assert (locations, sequences, digest.hexdigest()) == RECIPE[recoverer]
+
+
+def test_recipe_repair_nodes_stay_under_a_ceiling(monkeypatch):
+    # An exact count, so a change that builds dead edits again fails here
+    # on any machine, fast or slow.
+    nodes = 0
+    node = cpctplus._Search._node
+
+    def spy(self, *args):
+        nonlocal nodes
+        nodes += 1
+        return node(self, *args)
+
+    monkeypatch.setattr(cpctplus._Search, "_node", spy)
+    for _ in recipe_reports("cpctplus"):
+        pass
+    assert nodes <= RECIPE_NODE_CEILING
