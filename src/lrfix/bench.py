@@ -362,7 +362,11 @@ def format_summary_table(summaries: Sequence[SummaryStats]) -> str:
     for s in summaries:
         if s.intervals:
             for k, (lo, hi) in sorted(s.intervals.items()):
-                lines.append(f"{s.recoverer}: {k} 99% interval [{lo:.4f}, {hi:.4f}]")
+                if k == "mean_recovery_time_s":  # ms as in the table, 4 significant digits
+                    bounds = f"[{lo * 1e3:.4g}, {hi * 1e3:.4g}] ms"
+                else:
+                    bounds = f"[{lo:.4f}, {hi:.4f}]"
+                lines.append(f"{s.recoverer}: {k} 99% interval {bounds}")
         if s.excess_skipping:
             lines.append(
                 f"warning: {s.recoverer} skipped {s.tokens_skipped_pct:.1f}% of "

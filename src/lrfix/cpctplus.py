@@ -33,7 +33,7 @@ All search state is plain ints.  Stacks are hash-consed (Filliâtre &
 Conchon, "Type-safe modular hash-consing", ML Workshop 2006), so equal
 stacks get equal ints and compare without a walk.  The repair DAG lives
 in int columns: a node is one repair code and the node of the path before
-it, and a node is made only for an arrival that is queued or grafted.
+it, and every arrival that is queued or grafted gets a node of its own.
 
 A popped configuration first gets only its zero-cost moves (shifts and
 reductions), which stay in its bucket.  Every edit costs at least 1 and
@@ -98,8 +98,8 @@ from .parser import (
 # Repair codes, kept as small ints in the hot path and numbered so that
 # integer order is the canonical order (inserts by token, then delete,
 # then shift): inserting token t is t itself, delete is the EOF index
-# (EOF is never inserted), shift is one past it.  An arrival with the code
-# NO_REPAIR makes no repair: it comes along an existing repair node.
+# (EOF is never inserted), shift is one past it.  Only the root node has
+# the code NO_REPAIR: it stands for no repair at all.
 NO_REPAIR = -1
 ROOT = 0  # the repair node of the empty path
 
@@ -210,14 +210,16 @@ class _Search:
         self.parent = array("i", [NO_REPAIR])
         self.cost = array("i", [0])
         self.merged: dict[int, list[int]] = {}
-        self.todo: list[list[int]] = []  # per cost: key, node pairs, popped last first
-        self.best: dict[int, int] = {}  # key -> repair node of its first arrival
         self.merges = 0
         self.c_max: Optional[int] = None
         ref = stack[0]  # pushed onto node 0, the empty stack
         for s in stack[1:]:
             ref = self._push(ref, s)
-        self._add(0, ROOT, NO_REPAIR, ref, offset, 0, False)
+        # The start configuration, on the root.  No arrival reaches it at cost
+        # 0: a shift moves the offset on, and a reduce chain back to it would loop.
+        key = ref << self.ref_shift | offset << self.off_shift
+        self.best: dict[int, int] = {key: ROOT}  # key -> repair node of its first arrival
+        self.todo: list[list[int]] = [[key, ROOT]]  # per cost: key, node pairs, popped last first
 
     # -- stacks -----------------------------------------------------------------------
 
@@ -313,25 +315,20 @@ class _Search:
     def _add(self, cost: int, rm: int, code: int, ref: int, offset: int,
              tail: int, after_delete: bool) -> None:
         """An arrival at ``cost`` along repair node ``rm`` extended by
-        ``code``, or along ``rm`` itself when ``code`` is NO_REPAIR.
-        Queue its configuration on its first arrival; graft a later
-        arrival at the same cost onto the first one's repair node, and drop
-        one at a higher cost (none is ever lower: see the module
-        docstring).  Without merging no path ever arrives again, so nothing
-        is looked up."""
+        ``code``.  The first arrival at its configuration gets a node and is
+        queued; a later one at the same cost gets a node grafted onto the
+        first one's, and one at a higher cost is dropped (none is ever
+        lower: see the module docstring).  Without merging no path ever
+        arrives again, so nothing is looked up."""
         key = ref << self.ref_shift | offset << self.off_shift | tail << 1 | after_delete
         if self.merge:
             old = self.best.get(key)
             if old is not None:
-                if (self.cost[old] == cost and old != ROOT
-                        and (code != NO_REPAIR or rm not in (old, ROOT))):
-                    if code != NO_REPAIR:
-                        rm = self._node(code, rm, cost)
-                    self.merged.setdefault(old, []).append(rm)
+                if self.cost[old] == cost:
+                    self.merged.setdefault(old, []).append(self._node(code, rm, cost))
                     self.merges += 1
                 return
-        if code != NO_REPAIR:
-            rm = self._node(code, rm, cost)
+        rm = self._node(code, rm, cost)
         if self.merge:
             self.best[key] = rm
         todo = self.todo
@@ -353,16 +350,16 @@ class _Search:
     def _zero_cost_moves(self, cost: int, rm: int, ref: int, offset: int, tail: int,
                          after_delete: bool) -> None:
         """Queue the moves that stay at ``cost``.  If reductions under the
-        next token end on accept, styles 2 and 3 queue the reduced stack
-        with ``rm`` itself: no other move hangs off ``rm``, as an accept
-        cell has no shift and a bucket holding a success builds no edits.
-        Otherwise style 3 shifts one token; styles 1 and 2 make one greedy
-        move that shifts until n_shifts tokens went by or the parse stops."""
+        next token end on accept, styles 2 and 3 queue the reduced stack as
+        a shift that consumes nothing: a trailing shift, which the reported
+        sequences drop.  Otherwise style 3 shifts one token; styles 1 and 2
+        make one greedy move that shifts until n_shifts tokens went by or
+        the parse stops."""
         tok_ids = self.tok_ids
         style = self.shift_style
         ref, cell = self._reduce_to_action(ref, tok_ids[offset])
         if cell == ACCEPT_CELL and style != 1:
-            self._add(cost, rm, NO_REPAIR, ref, offset, tail, after_delete)
+            self._add(cost, rm, self.shift_c, ref, offset, tail, after_delete)
         if cell & 3 != 2:
             return
         limit = 1 if style == 3 else self.params.n_shifts
@@ -477,13 +474,13 @@ class _Search:
         ``run``), trailing shifts pruned, decoded in canonical order (see
         the module docstring); raises _OutOfTime past the deadline."""
         seqs: set[tuple[int, ...]] = set()
-        for _, _, rm in configs:
-            for raw in _expand(self.repair, self.parent, self.merged, rm, self.deadline):
-                end = len(raw)
-                while end and raw[end - 1] == self.shift_c:
-                    end -= 1
-                if end:
-                    seqs.add(raw[:end])
+        rms = [rm for _, _, rm in configs]
+        for raw in _expand(self.repair, self.parent, self.merged, rms, self.deadline):
+            end = len(raw)
+            while end and raw[end - 1] == self.shift_c:
+                end -= 1
+            if end:
+                seqs.add(raw[:end])
         # Insert codes only: a grammar built without parse_grammar's checks
         # could name EOF, whose index is the delete code.
         index, eof = self.table.token_index, self.eof
@@ -498,17 +495,19 @@ class _Search:
 # Sequence extraction.
 
 
-def _expand(repair, parent, merged: dict[int, list[int]], rm: int,
+def _expand(repair, parent, merged: dict[int, list[int]], rms: list[int],
             deadline: float):
-    """All distinct repair sequences reaching node ``rm`` of the repair DAG
-    held in ``repair``, ``parent`` and ``merged`` (see ``_Search``), merged
-    alternatives included; raises _OutOfTime once ``deadline`` passes.
+    """All distinct repair sequences reaching the nodes ``rms`` of the
+    repair DAG in ``repair``, ``parent`` and ``merged`` (see ``_Search``),
+    merged alternatives included; raises _OutOfTime past ``deadline``.
 
     A node without alternatives extends each of its parent's sequences by
     its own code, which keeps them distinct.  So a run of such nodes is
     climbed in one go, and only the root and the nodes with alternatives
-    keep their sequences, as sets.  The walk keeps its own stack: a path
-    can be longer than Python's recursion limit."""
+    keep their sequences, as sets shared by the walks from all of ``rms``.
+    A sequence's codes fix its path, so it reaches only one of ``rms``.
+    The walk keeps its own stack: a path can be longer than Python's
+    recursion limit."""
     memo: dict[int, object] = {ROOT: [()]}
     monotonic = time.monotonic
 
@@ -522,7 +521,8 @@ def _expand(repair, parent, merged: dict[int, list[int]], rm: int,
         codes.reverse()
         return node, tuple(codes)
 
-    todo = [climb(rm)[0]]
+    tops = [climb(rm) for rm in rms]
+    todo = [stop for stop, _ in tops]
     while todo:
         if monotonic() > deadline:
             raise _OutOfTime
@@ -539,8 +539,7 @@ def _expand(repair, parent, merged: dict[int, list[int]], rm: int,
             continue
         memo[node] = {p + tail for top, tail in ways for p in memo[top]}
         todo.pop()
-    stop, codes = climb(rm)
-    return [p + codes for p in memo[stop]]
+    return [p + codes for stop, codes in tops for p in memo[stop]]
 
 
 def _decode(table: StateTable, seqs) -> list[list[Repair]]:

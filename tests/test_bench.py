@@ -276,6 +276,10 @@ def test_the_table_prints_recovery_times_in_milliseconds():
     header, _, row = format_summary_table([summarize(records)]).splitlines()[:3]
     assert "mean time (ms)" in header and "median (ms)" in header
     assert row.split()[3:5] == ["0.040", "0.030"]
+    summary = summarize(records)
+    summary.intervals = bootstrap(records, iterations=50)
+    interval = "cpctplus: mean_recovery_time_s 99% interval [0.045, 0.05] ms"
+    assert interval in format_summary_table([summary]).splitlines()
 
 
 def test_summarize_handles_empty():

@@ -764,6 +764,37 @@ def test_no_configuration_arrives_cheaper_than_at_first(name, mode, monkeypatch)
     assert all(cost >= first_cost for first_cost, cost in later)
 
 
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_every_arrival_gets_a_repair_node_of_its_own(name, mode, monkeypatch):
+    # The start configuration sits on the root, and every arrival that is
+    # queued or grafted gets a new node, so no node sits under two
+    # configurations and none is grafted where it is also queued.
+    queued = set()  # key, node pairs
+    grafted = []
+    add = cpctplus._Search._add
+    run = cpctplus._Search.run
+
+    def add_spy(self, cost, *args):
+        n = len(self.todo[cost]) if cost < len(self.todo) else 0
+        add(self, cost, *args)
+        bucket = self.todo[cost] if cost < len(self.todo) else []
+        queued.update(zip(bucket[n::2], bucket[n + 1::2]))
+
+    def run_spy(self):
+        for bucket in self.todo:
+            queued.update(zip(bucket[::2], bucket[1::2]))
+        try:
+            return run(self)
+        finally:
+            grafted.extend(node for nodes in self.merged.values() for node in nodes)
+
+    monkeypatch.setattr(cpctplus._Search, "_add", add_spy)
+    monkeypatch.setattr(cpctplus._Search, "run", run_spy)
+    search_outcome(name, mode)
+    nodes = [node for _, node in queued] + grafted
+    assert queued and len(set(nodes)) == len(nodes)
+
+
 @pytest.mark.parametrize("name", sorted(CLIKE_PROGRAMS))
 def test_weighted_merging_does_not_change_the_answer(name):
     t, stack, ids, idx = golden_point(name)
@@ -793,6 +824,22 @@ def test_expansion_yields_each_sequence_once(name, mode, monkeypatch):
         assert len(set(seqs)) == len(seqs)
 
 
+def test_one_walk_expands_every_success(monkeypatch):
+    # calc_bad has two success configurations; one walk of the repair DAG
+    # expands both, sharing what it learns about the nodes above them.
+    walks = []
+    expand = cpctplus._expand
+
+    def spy(repair, parent, merged, rms, deadline):
+        walks.append(rms)
+        return expand(repair, parent, merged, rms, deadline)
+
+    monkeypatch.setattr(cpctplus, "_expand", spy)
+    _, success_configs, _ = search_outcome("calc_bad", "style3")
+    assert success_configs == 2
+    assert len(walks) == 1 and len(walks[0]) == 2
+
+
 # The recipe: 120 generated C-like programs of about 150 tokens with four
 # random edits each, parsed on the merged table with a 30 s budget that no
 # location runs out of.  Per recoverer: error locations, sequences, and
@@ -803,8 +850,8 @@ RECIPE = {
     "cpctplus-rev": (619, 2380, "8ace208f6495b3567cb16d10d08d883e144cdf39f214a5686ad66e7f47b65bb3"),
     "panic": (966, 0, "3b31b5b5109be723c7e443132ef13f26bdff078089b16eacc82c255e8cd0bcae"),
 }
-# Repair-DAG nodes that cpctplus makes over the recipe: 38,259 when dead
-# edits wait for the next cost level to fail, 71,403 when they do not.
+# Repair-DAG nodes that cpctplus makes over the recipe: 38,283 when dead
+# edits wait for the next cost level to fail, 71,427 when they do not.
 RECIPE_NODE_CEILING = 40_000
 
 

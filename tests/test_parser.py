@@ -10,10 +10,12 @@ from lrfix import (
     Repair,
     build_tables,
     lr_step,
+    min_repair_sequences,
     panic_recover,
     parse,
     parse_grammar,
     render_repairs,
+    repair_search,
     tree_text,
 )
 from lrfix import parser
@@ -201,6 +203,7 @@ def test_render_repairs_walks_the_input():
     toks = toks_of("calc", "2 3 +")
     seq = [Repair("delete"), Repair("shift"), Repair("insert", "INT")]
     assert render_repairs(seq, "2 3 +", toks, 1) == "Delete 3, Shift +, Insert INT"
+    assert list(map(str, seq)) == ["Delete", "Shift", "Insert INT"]
 
 
 def test_recovery_params_validation():
@@ -296,6 +299,19 @@ def test_a_search_that_inserts_into_a_runaway_chain_raises(recoverer, merge):
     with pytest.raises(ParserInternalError, match="reduce chain did not terminate") as e:
         parse(t, synth_toks(t, ["y"]), recoverer=recoverer)
     assert e.traceback[-1].name == "_inserts"
+
+
+@pytest.mark.parametrize("merge", [True, False])
+@pytest.mark.parametrize("search", [min_repair_sequences, repair_search])
+def test_a_search_that_starts_in_a_runaway_chain_raises(search, merge):
+    # On 'x' the parse raises in drive before any search starts.  A search
+    # started there anyway reduces N forever before its first move, and the
+    # search's own reduce-chain limit turns that into an error.
+    t = build_tables(parse_grammar("%start R\n%token x\n%%\nN: ;\nR: N R x | ;"), merge=merge)
+    ids = [t.token_index[tok.type] for tok in synth_toks(t, ["x"])]
+    with pytest.raises(ParserInternalError, match="reduce chain did not terminate") as e:
+        search(t, [0], ids, 0)
+    assert e.traceback[-1].name == "_reduce_to_action"
 
 
 def test_tree_text_renders_a_tree_deeper_than_the_recursion_limit():
