@@ -8,8 +8,9 @@ files, several repeats per file, and aggregates:
   locations were hit, the repair costs (only when the whole file
   succeeded), and the percentage of real tokens discarded;
 * a summary with mean/median recovery time, mean repair cost, failure
-  rate, mean tokens-skipped percentage and the total number of error
-  locations, plus optional bootstrap confidence intervals.
+  rate, mean tokens-skipped percentage and the number of error
+  locations in one pass over the corpus, plus optional bootstrap
+  confidence intervals.
 
 Timing covers recovery only: the parser's clock starts when a recoverer
 is invoked, so lexing and table construction never pollute the numbers.
@@ -70,6 +71,10 @@ _FIGURES = {
     "mean_recovery_time_s": lambda runs: statistics.fmean(r.recovery_time_s for r in runs),
     "failure_rate_pct": lambda runs: 100.0 * sum(not r.success for r in runs) / len(runs),
     "tokens_skipped_pct": lambda runs: statistics.fmean(r.tokens_skipped_pct for r in runs),
+    # One pass over the corpus, as the paper counts them: the mean over passes.
+    "error_locations": lambda runs: (
+        sum(r.error_locations for r in runs) * len({r.file for r in runs}) / len(runs)
+    ),
 }
 
 
@@ -92,7 +97,7 @@ class SummaryStats:
     mean_cost: Optional[float]        # None when no run repaired a whole file
     failure_rate_pct: float
     tokens_skipped_pct: float         # mean of the per-run percentages
-    error_locations: int              # summed over every run
+    error_locations: float            # per pass over the corpus
     skip_threshold_pct: float = DEFAULT_SKIP_THRESHOLD_PCT
     excess_skipping: bool = False
     intervals: Optional[dict[str, tuple[float, float]]] = None
@@ -194,7 +199,6 @@ def summarize(
             statistics.median(r.recovery_time_s for r in records) if records else 0.0
         ),
         mean_cost=_mean_cost(records),
-        error_locations=sum(r.error_locations for r in records),
         skip_threshold_pct=skip_threshold_pct,
         excess_skipping=figures["tokens_skipped_pct"] > skip_threshold_pct,
         skipped_files=skipped_files or [],
@@ -246,9 +250,9 @@ def bootstrap(
     whole file was repaired, since failed runs record no costs.
 
     Returns ``{field: (low, high)}`` for ``mean_recovery_time_s``,
-    ``failure_rate_pct``, ``tokens_skipped_pct`` and — when any run
-    succeeded — ``mean_cost``.  Identical records give zero-width
-    intervals; a lone record gives point intervals.
+    ``failure_rate_pct``, ``tokens_skipped_pct``, ``error_locations`` and
+    — when any run succeeded — ``mean_cost``.  Identical records give
+    zero-width intervals; a lone record gives point intervals.
     """
     if not records:
         raise ValueError("bootstrap needs at least one record")
@@ -332,7 +336,7 @@ def format_summary_table(summaries: Sequence[SummaryStats]) -> str:
         "mean cost",
         "fail %",
         "skipped %",
-        "error locs",
+        "error locs / pass",
     ]
     rows = []
     for s in summaries:
@@ -346,7 +350,7 @@ def format_summary_table(summaries: Sequence[SummaryStats]) -> str:
                 "-" if s.mean_cost is None else f"{s.mean_cost:.2f}",
                 f"{s.failure_rate_pct:.1f}",
                 f"{s.tokens_skipped_pct:.1f}",
-                str(s.error_locations),
+                f"{s.error_locations:.1f}",
             ]
         )
     widths = [

@@ -102,7 +102,8 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-_ESCAPES = {"\\n": "\n", "\\t": "\\t", "\\\\": "\\", "\\'": "'"}
+_ESCAPES = {"\\n": "\n", "\\t": "\t", "\\\\": "\\", "\\'": "'"}
+_QUOTED = {c: esc for esc, c in _ESCAPES.items()}  # pretty() writes no raw control character
 
 
 def _unquote(lit: str) -> str:
@@ -368,8 +369,7 @@ def parse_grammar(src: str) -> Grammar:
 
 def _emit_token(g: Grammar, name: str) -> str:
     if name in g.literals:
-        quoted = name.replace("\\", "\\\\").replace("'", "\\'")
-        return f"'{quoted}'"
+        return "'" + "".join(_QUOTED.get(c, c) for c in name) + "'"
     return name
 
 

@@ -451,17 +451,15 @@ class StateTable:
                 elif dot == len(graph.productions[prod_i].rhs):
                     for tok_i in _bits(las):  # bit i is self.tokens[i]
                         reduces.setdefault(tok_i, []).append(prod_i)
-            # A lone reduce is written here; the rest goes to _resolve in
-            # token order, the order of its reports.
+            # _resolve writes every reduce and accept cell, in token order,
+            # the order of its reports.
             if accept_on_eof:
                 reduces.setdefault(self.eof, [])
             for tok_i in sorted(reduces):
-                reds, accept = reduces[tok_i], accept_on_eof and tok_i == self.eof
                 shift = cell_arg(row[tok_i]) if row[tok_i] else None
-                if len(reds) == 1 and shift is None and not accept:
-                    row[tok_i] = reduce_cell(reds[0])
-                else:
-                    row[tok_i] = self._resolve(s, tok_i, shift, sorted(reds), accept)
+                row[tok_i] = self._resolve(
+                    s, tok_i, shift, sorted(reduces[tok_i]), accept_on_eof and tok_i == self.eof
+                )
             self.act.append(row)
             self.goto.append(grow)
             self.live_terms.append(tuple(t for t in range(self.eof) if row[t] != ERROR_CELL))

@@ -46,7 +46,7 @@ def test_run_corpus_records_and_skips(tmp_path):
 
     assert summary.files == 2 and summary.runs == 6
     assert summary.failure_rate_pct == 0.0
-    assert summary.error_locations == 3
+    assert summary.error_locations == 1  # one pass over the corpus
     assert summary.mean_cost == pytest.approx(1.0)
     assert sorted(name for name, _ in summary.skipped_files) == [
         "c_unlexable.txt",
@@ -282,6 +282,20 @@ def test_the_table_prints_recovery_times_in_milliseconds():
     assert interval in format_summary_table([summary]).splitlines()
 
 
+def test_error_locations_count_one_pass_whatever_the_repeats(tmp_path):
+    corpus = make_corpus(tmp_path)
+    (tmp_path / "e_two_errors.txt").write_text("x = 1 1 ; y = ;\n")
+    for repeats in (1, 4):
+        records, summary = run_corpus(corpus, STMT_G, STMT_L, repeats=repeats)
+        assert summary.runs == 3 * repeats
+        assert summary.error_locations == 3
+    summary.intervals = bootstrap(records, iterations=50)
+    lines = format_summary_table([summary]).splitlines()
+    assert lines[0].rstrip().endswith("error locs / pass")
+    assert lines[2].split()[-1] == "3.0"
+    assert "cpctplus: error_locations 99% interval [3.0000, 3.0000]" in lines
+
+
 def test_summarize_handles_empty():
     s = summarize([])
     assert s.runs == 0 and s.files == 0
@@ -306,12 +320,13 @@ def test_main_prints_the_table_and_writes_the_csv(tmp_path, capsys):
     assert code == 0
     intervals = [line for line in capsys.readouterr().out.splitlines() if "interval" in line]
     assert intervals == [
+        "cpctplus: error_locations 99% interval [1.0000, 1.0000]",
         "cpctplus: failure_rate_pct 99% interval [0.0000, 0.0000]",
         "cpctplus: mean_cost 99% interval [1.0000, 1.0000]",
-        intervals[2],
+        intervals[3],
         "cpctplus: tokens_skipped_pct 99% interval [10.0000, 10.0000]",
     ]
-    assert intervals[2].startswith("cpctplus: mean_recovery_time_s 99% interval [")
+    assert intervals[3].startswith("cpctplus: mean_recovery_time_s 99% interval [")
     with open(out, newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == CSV_COLUMNS

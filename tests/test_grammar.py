@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -105,8 +107,8 @@ def test_rejects(text, fragment):
         ("%{\n#include <stdio.h>\n%}\n%token A\n%%\nS: A;", [("A",)]),
         ("%%\nS: 'a' { s = \"}\"; c = '}'; /* } */ } | ;", [("a",), ()]),
         ("%token N\n%right NEG\n%%\nE: '-' E %prec NEG | N;", [("-", "E"), ("N",)]),
-        # The literal '\t' names a backslash and a 't', as it does in a lexer file.
-        ("%%\nS: 'a\\'b' '\\\\' '\\n' '\\t';", [("a'b", "\\", "\n", "\\t")]),
+        # The literals '\n' and '\t' name a newline and a tab, as in Yacc.
+        ("%%\nS: 'a\\'b' '\\\\' '\\n' '\\t';", [("a'b", "\\", "\n", "\t")]),
         # An escaped quote inside a string in an action does not end it.
         ("%%\nS: 'a' { s = \"\\\"}\"; c = '\\''; } ;", [("a",)]),
     ],
@@ -114,7 +116,10 @@ def test_rejects(text, fragment):
 def test_accepts_and_round_trips(text, bodies):
     g = parse_grammar(text)
     assert [p.rhs for p in g.productions] == bodies
-    assert parse_grammar(pretty(g)) == g
+    text = pretty(g)
+    quoted = re.findall(r"'(?:\\.|[^'\\])*'", text)
+    assert not any(c in q for q in quoted for c in "\n\t")
+    assert parse_grammar(text) == g
 
 
 def test_error_carries_line():

@@ -431,3 +431,25 @@ def test_a_panic_pop_drops_folded_subtrees(monkeypatch):
     kept = nodes_in(r.tree)
     assert len(built) > kept
     assert "Stmt" in tree_text(r.tree, src)
+
+
+def test_the_benchmark_tracer_wraps_and_restores_the_recoverers():
+    # perfbench/tracer.py patches these three attributes from outside, so
+    # parse() must look its recoverers up at call time.
+    import lrfix.cpctplus
+    from lrfix.cactus import Cactus
+    from tracer import Tracer
+
+    originals = (Cactus.push, lrfix.cpctplus.repair_search, parser.panic_recover)
+    tracer = Tracer()
+    with tracer.installed():
+        r = run("calc", "2 3 +")
+    assert len(tracer.calls) == 1
+    assert tracer.calls[0].outcome.sequences == r.reports[0].sequences
+    assert tracer.pushes == 0
+
+    tracer = Tracer()
+    with tracer.installed():
+        run("calc", "2 3 +", recoverer="panic")
+    assert "parser.panic_recover" in [name for _, _, name, _, _ in tracer.spans]
+    assert (Cactus.push, lrfix.cpctplus.repair_search, parser.panic_recover) == originals
