@@ -376,41 +376,37 @@ class _Search:
                 ref = reduced
         self._add(cost, rm, self.shift_c, ref, offset + shifted, tail + shifted, False)
 
-    def _edit_moves(self, cost: int, rm: int, ref: int, offset: int,
-                    after_delete: bool, dead: bool) -> None:
-        """Queue the live inserts and delete, or with ``dead`` the others,
-        each at a higher cost.  An edit is dead when the next token meets
-        an error cell on its new top state: it can neither succeed nor make
-        a zero-cost move, so it is only a step towards costlier edits.
+    def _edits(self, cost: int, configs: list[int], dead: bool) -> None:
+        """For each ``key, node`` pair of ``configs``, all expanded at
+        ``cost``, in order: queue its live inserts and delete, or with
+        ``dead`` the others, each at a higher cost; raises _OutOfTime past
+        the deadline.  An edit is dead when the next token meets an error
+        cell on its new top state: it can neither succeed nor make a
+        zero-cost move, so it is only a step towards costlier edits.
 
         Inserts come in token declaration order, and only of the terminals
         with a non-error action on top of the stack.  An insert directly
         after a delete is suppressed: the same effect is always reachable
         as insert-then-delete, so exploring both just doubles the frontier.
         """
-        add, act, n = self._add, self.act, self.n_states
-        tok = self.tok_ids[offset]
-        if not after_delete:
-            insert_cost = self.insert_cost
-            for t, inserted in self._inserts(ref):
-                if (act[inserted % n][tok] == ERROR_CELL) == dead:
-                    add(cost + insert_cost[t], rm, t, inserted, offset, 0, False)
-        # Delete the next real token (never end-of-input).
-        if tok != self.eof and (act[ref % n][self.tok_ids[offset + 1]] == ERROR_CELL) == dead:
-            add(cost + 1, rm, self.eof, ref, offset + 1, 0, True)
-
-    def _edits(self, cost: int, configs: list[int], dead: bool) -> None:
-        """``_edit_moves`` for each ``key, node`` pair of ``configs``, all
-        expanded at ``cost``, in order; raises _OutOfTime past the
-        deadline."""
+        add, act, n, eof = self._add, self.act, self.n_states, self.eof
+        tok_ids, insert_cost = self.tok_ids, self.insert_cost
         ref_shift, off_shift, off_mask = self.ref_shift, self.off_shift, self.off_mask
         monotonic, deadline = time.monotonic, self.deadline
         for i in range(0, len(configs), 2):
             if monotonic() > deadline:
                 raise _OutOfTime
-            key = configs[i]
-            self._edit_moves(cost, configs[i + 1], key >> ref_shift,
-                             key >> off_shift & off_mask, key & 1, dead)
+            key, rm = configs[i], configs[i + 1]
+            ref = key >> ref_shift
+            offset = key >> off_shift & off_mask
+            tok = tok_ids[offset]
+            if not key & 1:  # the last repair was not a delete
+                for t, inserted in self._inserts(ref):
+                    if (act[inserted % n][tok] == ERROR_CELL) == dead:
+                        add(cost + insert_cost[t], rm, t, inserted, offset, 0, False)
+            # Delete the next real token (never end-of-input).
+            if tok != eof and (act[ref % n][tok_ids[offset + 1]] == ERROR_CELL) == dead:
+                add(cost + 1, rm, eof, ref, offset + 1, 0, True)
 
     # -- main loop ------------------------------------------------------------------
 

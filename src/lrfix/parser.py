@@ -96,8 +96,13 @@ def render_repairs(seq: list[Repair], src: str, toks: list[Token], offset: int) 
 
 @dataclass
 class RecoveryParams:
-    """Recovery knobs: ``timeout_s`` bounds every recoverer; the rest tune
-    the repair search."""
+    """Recovery knobs: ``timeout_s`` is the file's recovery budget; the
+    rest tune the repair search.
+
+    ``parse()`` refuses to start a recoverer once the budget is spent.
+    The repair search checks its deadline between configurations, ranking
+    drives and expansion steps, so it stops soon after the budget runs
+    out.  ``panic_recover`` reads no clock: one call runs to its end."""
 
     n_shifts: int = 3          # trailing shifts that count as resynchronized
     n_try: int = 250           # tokens a candidate repair is test-parsed over

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lrfix import bench
 from lrfix.bench import (
     BenchRecord,
     CSV_COLUMNS,
@@ -158,11 +159,24 @@ def rec(file, repeat, t, success=True, costs=(1,), skip=0.0):
     return BenchRecord(file, repeat, "cpctplus", t, success, 1, list(costs), skip)
 
 
-def test_bootstrap_rejects_empty_and_bad_confidence():
+def test_bootstrap_rejects_no_records():
     with pytest.raises(ValueError):
         bootstrap([])
-    with pytest.raises(ValueError):
-        bootstrap([rec("a", 0, 0.1)], confidence=1.5)
+
+
+def test_interval_labels_name_the_bootstrap_level(monkeypatch, capsys):
+    # The table and the --bootstrap help print the level bootstrap used.
+    records = [rec("a", r, 0.01 * r) for r in range(20)]
+    wide = bootstrap(records, iterations=200)["mean_recovery_time_s"]
+    monkeypatch.setattr(bench, "CONFIDENCE", 0.5)
+    narrow = bootstrap(records, iterations=200)["mean_recovery_time_s"]
+    assert wide[0] < narrow[0] <= narrow[1] < wide[1]
+    summary = summarize(records)
+    summary.intervals = {"mean_recovery_time_s": narrow}
+    assert "cpctplus: mean_recovery_time_s 50% interval [" in format_summary_table([summary])
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert "50% intervals" in capsys.readouterr().out
 
 
 def test_bootstrap_identical_records_zero_width():

@@ -4,6 +4,7 @@ import hashlib
 import random
 import time
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,7 @@ from lrfix.lrtable import ACCEPT_CELL, ERROR_CELL
 from lrfix.parser import RECOVERERS, drive
 
 import gen
-from checks import check_file, replays
+from checks import check_file, check_oracle, replays
 from conftest import (
     INPUTS, D, I, S, clike, err_point, first_error, grammar_of, small_grammars, synth_toks,
     table_of, toks_of,
@@ -685,116 +686,6 @@ def test_every_golden_sequence_replays(name, mode):
         assert replays(t, stack, types, idx, seq, n_shifts), seq
 
 
-@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
-def test_no_edits_are_built_at_the_minimum_cost(name, mode, monkeypatch):
-    # A bucket's inserts and deletes are built only once it drains without
-    # a success, so the bucket holding the cheapest success never builds
-    # any: each would cost more than the minimum and be dropped.
-    costs = []
-    edit_moves = cpctplus._Search._edit_moves
-
-    def spy(self, cost, *args):
-        costs.append(cost)
-        return edit_moves(self, cost, *args)
-
-    monkeypatch.setattr(cpctplus._Search, "_edit_moves", spy)
-    (cost, *_), _, _ = search_outcome(name, mode)
-    assert costs and max(costs) < cost
-
-
-@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
-def test_no_dead_edit_reaches_the_minimum_cost(name, mode, monkeypatch):
-    # An insert or delete whose next token meets an error cell on its top
-    # state can neither succeed nor move at its own cost, so it is built
-    # only once the next cost level has failed: the bucket holding the
-    # cheapest success never receives one.
-    dead = []
-    add = cpctplus._Search._add
-
-    def spy(self, cost, rm, code, stack, offset, tail, after_delete):
-        if (code not in (cpctplus.NO_REPAIR, self.shift_c)
-                and self.act[self.stack_list(stack)[-1]][self.tok_ids[offset]] == ERROR_CELL):
-            dead.append(cost)
-        return add(self, cost, rm, code, stack, offset, tail, after_delete)
-
-    monkeypatch.setattr(cpctplus._Search, "_add", spy)
-    (cost, *_), _, _ = search_outcome(name, mode)
-    assert cost not in dead
-
-
-@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
-def test_each_configuration_is_expanded_once(name, mode, monkeypatch):
-    # A configuration that comes back is dropped (at a higher cost) or
-    # grafted onto its first arrival (at the same cost), so no search
-    # configuration gets its moves twice.
-    keys = []
-    zero_cost_moves = cpctplus._Search._zero_cost_moves
-
-    def spy(self, cost, rm, stack, offset, tail, after_delete):
-        key = (stack, offset, tail, after_delete)
-        keys.append(key if self.merge else key + (rm,))
-        return zero_cost_moves(self, cost, rm, stack, offset, tail, after_delete)
-
-    monkeypatch.setattr(cpctplus._Search, "_zero_cost_moves", spy)
-    search_outcome(name, mode)
-    assert keys and len(set(keys)) == len(keys)
-
-
-@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
-def test_no_configuration_arrives_cheaper_than_at_first(name, mode, monkeypatch):
-    # The search queues a configuration only on its first arrival and has
-    # no way to queue it again more cheaply, so a later arrival must never
-    # cost less than the first one did.
-    first = {}
-    later = []
-    add = cpctplus._Search._add
-
-    def spy(self, cost, rm, code, stack, offset, tail, after_delete):
-        key = (stack, offset, tail, after_delete)
-        key = key if self.merge else key + (rm, code)
-        if key in first:
-            later.append((first[key], cost))
-        else:
-            first[key] = cost
-        return add(self, cost, rm, code, stack, offset, tail, after_delete)
-
-    monkeypatch.setattr(cpctplus._Search, "_add", spy)
-    search_outcome(name, mode)
-    assert first
-    assert all(cost >= first_cost for first_cost, cost in later)
-
-
-@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
-def test_every_arrival_gets_a_repair_node_of_its_own(name, mode, monkeypatch):
-    # The start configuration sits on the root, and every arrival that is
-    # queued or grafted gets a new node, so no node sits under two
-    # configurations and none is grafted where it is also queued.
-    queued = set()  # key, node pairs
-    grafted = []
-    add = cpctplus._Search._add
-    run = cpctplus._Search.run
-
-    def add_spy(self, cost, *args):
-        n = len(self.todo[cost]) if cost < len(self.todo) else 0
-        add(self, cost, *args)
-        bucket = self.todo[cost] if cost < len(self.todo) else []
-        queued.update(zip(bucket[n::2], bucket[n + 1::2]))
-
-    def run_spy(self):
-        for bucket in self.todo:
-            queued.update(zip(bucket[::2], bucket[1::2]))
-        try:
-            return run(self)
-        finally:
-            grafted.extend(node for nodes in self.merged.values() for node in nodes)
-
-    monkeypatch.setattr(cpctplus._Search, "_add", add_spy)
-    monkeypatch.setattr(cpctplus._Search, "run", run_spy)
-    search_outcome(name, mode)
-    nodes = [node for _, node in queued] + grafted
-    assert queued and len(set(nodes)) == len(nodes)
-
-
 @pytest.mark.parametrize("name", sorted(CLIKE_PROGRAMS))
 def test_weighted_merging_does_not_change_the_answer(name):
     t, stack, ids, idx = golden_point(name)
@@ -805,39 +696,119 @@ def test_weighted_merging_does_not_change_the_answer(name):
     assert plain.sequences == merged.sequences
 
 
-@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
-def test_expansion_yields_each_sequence_once(name, mode, monkeypatch):
-    # Grafts can reach one prefix along several paths through the repair
-    # DAG; expansion keeps each prefix once instead of copying it on.
-    expanded = []
+@functools.lru_cache(maxsize=None)
+def recorded_search(name, mode):
+    """``search_outcome(name, mode)``, run once under pass-through spies on
+    the search's seams, and what they saw:
+
+    * ``arrivals``: per ``_add`` call, the configuration's key, the cost,
+      the number of repair nodes the call made, and whether the arrival is
+      a dead edit (its next token meets an error cell on its top state);
+    * ``expanded``: the key of each configuration ``_zero_cost_moves`` expands;
+    * ``edit_costs``: the cost of each ``_edits`` batch;
+    * ``walks``: per ``_expand`` call, the success nodes and the output.
+
+    Without merging paths never meet, so a key also holds the node it
+    extends and, for an arrival, the code that extends it."""
+    rec = types.SimpleNamespace(arrivals=[], expanded=[], edit_costs=[], walks=[])
+    search = cpctplus._Search
+    add, moves, edits = search._add, search._zero_cost_moves, search._edits
     expand = cpctplus._expand
 
-    def spy(*args):
-        out = expand(*args)
-        expanded.append(out)
+    def add_spy(self, cost, rm, code, ref, offset, tail, after_delete):
+        nodes = len(self.repair)
+        add(self, cost, rm, code, ref, offset, tail, after_delete)
+        key = (ref, offset, tail, after_delete) + (() if self.merge else (rm, code))
+        top = ref % self.n_states
+        dead = code != self.shift_c and self.act[top][self.tok_ids[offset]] == ERROR_CELL
+        rec.arrivals.append((key, cost, len(self.repair) - nodes, dead))
+
+    def moves_spy(self, cost, rm, *config):
+        rec.expanded.append(config + (() if self.merge else (rm,)))
+        moves(self, cost, rm, *config)
+
+    def edits_spy(self, cost, *args):
+        rec.edit_costs.append(cost)
+        edits(self, cost, *args)
+
+    def expand_spy(repair, parent, merged, rms, deadline):
+        out = expand(repair, parent, merged, rms, deadline)
+        rec.walks.append((rms, out))
         return out
 
-    monkeypatch.setattr(cpctplus, "_expand", spy)
-    search_outcome(name, mode)
-    assert expanded
-    for seqs in expanded:
-        assert len(set(seqs)) == len(seqs)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_add", add_spy)
+        m.setattr(search, "_zero_cost_moves", moves_spy)
+        m.setattr(search, "_edits", edits_spy)
+        m.setattr(cpctplus, "_expand", expand_spy)
+        (rec.cost, *_), rec.success_configs, _ = search_outcome(name, mode)
+    return rec
 
 
-def test_one_walk_expands_every_success(monkeypatch):
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_no_edits_are_built_at_the_minimum_cost(name, mode):
+    # A bucket's inserts and deletes are built only once it drains without
+    # a success, so the bucket holding the cheapest success never builds
+    # any: each would cost more than the minimum and be dropped.
+    rec = recorded_search(name, mode)
+    assert rec.edit_costs and max(rec.edit_costs) < rec.cost
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_no_dead_edit_reaches_the_minimum_cost(name, mode):
+    # An insert or delete whose next token meets an error cell on its top
+    # state can neither succeed nor move at its own cost, so it is built
+    # only once the next cost level has failed: the bucket holding the
+    # cheapest success never receives one.
+    rec = recorded_search(name, mode)
+    assert rec.cost not in [cost for _, cost, _, dead in rec.arrivals if dead]
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_each_configuration_is_expanded_once(name, mode):
+    # A configuration that comes back is dropped (at a higher cost) or
+    # grafted onto its first arrival (at the same cost), so no search
+    # configuration gets its moves twice.
+    keys = recorded_search(name, mode).expanded
+    assert keys and len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_no_configuration_arrives_cheaper_than_at_first(name, mode):
+    # The search queues a configuration only on its first arrival and has
+    # no way to queue it again more cheaply, so a later arrival must never
+    # cost less than the first one did.
+    first = {}
+    arrivals = recorded_search(name, mode).arrivals
+    assert arrivals and all(cost >= first.setdefault(key, cost) for key, cost, _, _ in arrivals)
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_every_arrival_gets_a_repair_node_of_its_own(name, mode):
+    # The start configuration, expanded first, sits on the root at cost 0.
+    # An arrival that is queued (the first at its configuration) or grafted
+    # (a later one at the same cost) makes one new node; a costlier one is
+    # dropped and makes none.
+    rec = recorded_search(name, mode)
+    first = {rec.expanded[0]: 0}
+    assert rec.arrivals and all(made == (first.setdefault(key, cost) == cost)
+                                for key, cost, made, _ in rec.arrivals)
+
+
+@pytest.mark.parametrize("name,mode", GOLDEN_POINTS)
+def test_expansion_yields_each_sequence_once(name, mode):
+    # Grafts can reach one prefix along several paths through the repair
+    # DAG; expansion keeps each prefix once instead of copying it on.
+    walks = recorded_search(name, mode).walks
+    assert walks and all(len(set(out)) == len(out) for _, out in walks)
+
+
+def test_one_walk_expands_every_success():
     # calc_bad has two success configurations; one walk of the repair DAG
     # expands both, sharing what it learns about the nodes above them.
-    walks = []
-    expand = cpctplus._expand
-
-    def spy(repair, parent, merged, rms, deadline):
-        walks.append(rms)
-        return expand(repair, parent, merged, rms, deadline)
-
-    monkeypatch.setattr(cpctplus, "_expand", spy)
-    _, success_configs, _ = search_outcome("calc_bad", "style3")
-    assert success_configs == 2
-    assert len(walks) == 1 and len(walks[0]) == 2
+    rec = recorded_search("calc_bad", "style3")
+    assert rec.success_configs == 2
+    assert [len(rms) for rms, _ in rec.walks] == [2]
 
 
 # The recipe: 120 generated C-like programs of about 150 tokens with four
@@ -850,9 +821,16 @@ RECIPE = {
     "cpctplus-rev": (619, 2380, "8ace208f6495b3567cb16d10d08d883e144cdf39f214a5686ad66e7f47b65bb3"),
     "panic": (966, 0, "3b31b5b5109be723c7e443132ef13f26bdff078089b16eacc82c255e8cd0bcae"),
 }
-# Repair-DAG nodes that cpctplus makes over the recipe: 38,283 when dead
-# edits wait for the next cost level to fail, 71,427 when they do not.
-RECIPE_NODE_CEILING = 40_000
+# Work that cpctplus does over the recipe, counted per call of these
+# _Search methods: 38,283 repair nodes (71,427 when dead edits do not wait
+# for the next cost level to fail), 44,181 arrivals, 31,357 expansions,
+# 5,397 insert passes and 34,506 reductions.  Each ceiling has the node
+# ceiling's slack of about 4.5%, so a faster search can still lower it.
+RECIPE_CEILINGS = {
+    "_node": 40_000, "_add": 46_150, "_zero_cost_moves": 32_750, "_inserts": 5_650,
+    "_reduce": 36_050,
+}
+RECIPE_PARAMS = RecoveryParams(timeout_s=30)
 
 
 @functools.lru_cache(maxsize=None)
@@ -864,36 +842,46 @@ def recipe_files():
             mutate_corpus(files, lexspec, seed=1, edits_per_file=4)]
 
 
-def recipe_reports(recoverer):
+def recipe_parses(recoverer):
     t, _ = clike()
-    params = RecoveryParams(timeout_s=30)
     for text, toks in recipe_files():
-        yield from parse(t, toks, text, recoverer=recoverer, params=params).reports
+        yield toks, parse(t, toks, text, recoverer=recoverer, params=RECIPE_PARAMS)
 
 
 @pytest.mark.parametrize("recoverer", sorted(RECIPE))
 def test_recipe_outcomes_match_golden_digest(recoverer):
     digest = hashlib.sha256()
     locations = sequences = 0
-    for r in recipe_reports(recoverer):
-        digest.update(repr((r.offset, r.success, r.cost, r.sequences, r.applied)).encode())
-        locations += 1
-        sequences += len(r.sequences)
+    for _, result in recipe_parses(recoverer):
+        for r in result.reports:
+            digest.update(repr((r.offset, r.success, r.cost, r.sequences, r.applied)).encode())
+            locations += 1
+            sequences += len(r.sequences)
     assert (locations, sequences, digest.hexdigest()) == RECIPE[recoverer]
 
 
 def test_recipe_repair_nodes_stay_under_a_ceiling(monkeypatch):
-    # An exact count, so a change that builds dead edits again fails here
-    # on any machine, fast or slow.
-    nodes = 0
-    node = cpctplus._Search._node
+    # Exact counts, so a change that builds dead edits again fails here on
+    # any machine, fast or slow.
+    calls = dict.fromkeys(RECIPE_CEILINGS, 0)
+    for name in RECIPE_CEILINGS:
+        def spy(self, *args, name=name, real=getattr(cpctplus._Search, name)):
+            calls[name] += 1
+            return real(self, *args)
 
-    def spy(self, *args):
-        nonlocal nodes
-        nodes += 1
-        return node(self, *args)
-
-    monkeypatch.setattr(cpctplus._Search, "_node", spy)
-    for _ in recipe_reports("cpctplus"):
+        monkeypatch.setattr(cpctplus._Search, name, spy)
+    for _ in recipe_parses("cpctplus"):
         pass
-    assert nodes <= RECIPE_NODE_CEILING
+    assert all(calls[name] <= cap for name, cap in RECIPE_CEILINGS.items()), calls
+
+
+def test_recipe_locations_of_cost_3_or_less_equal_the_oracle():
+    # All of them, where the benchmark gate samples a few: the search's set
+    # is the brute-force oracle's, and every reported sequence replays.
+    t, _ = clike()
+    pool = []
+    for toks, result in recipe_parses("cpctplus"):
+        check_file(t, toks, result, RECIPE_PARAMS, pool)
+    assert len(pool) == 472  # of the 478 locations
+    for location in pool:
+        check_oracle(t, RECIPE_PARAMS, *location)
