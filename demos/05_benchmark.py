@@ -9,7 +9,7 @@ deleting the input.
 
 import random
 
-from lrfix import LexSpec, parse_grammar
+from lrfix import LexSpec, build_tables, parse_grammar
 from lrfix.bench import (
     bootstrap,
     format_summary_table,
@@ -27,6 +27,7 @@ Stmt: 'ID' '=' Rhs ';';
 Rhs: 'ID' | 'NUM';
 """
 )
+TABLE = build_tables(GRAMMAR)
 
 LEXER = LexSpec.parse(
     r"""
@@ -52,7 +53,7 @@ corpus = mutate_corpus(clean, LEXER, seed=7, edits_per_file=2)
 summaries = []
 for recoverer in ("cpctplus", "cpctplus-rev", "panic"):
     records, summary = run_corpus(
-        corpus, GRAMMAR, LEXER, recoverer=recoverer, repeats=3
+        corpus, TABLE, LEXER, recoverer=recoverer, repeats=3
     )
     summary.intervals = bootstrap(records, iterations=500, seed=0)
     summaries.append(summary)

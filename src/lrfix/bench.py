@@ -18,8 +18,8 @@ Failed and timed-out recovery runs still contribute their elapsed time.
 
 A recoverer that "fixes" files mostly by throwing their contents away
 looks great on failure rate, so summaries carry an ``excess_skipping``
-flag raised when the mean tokens-skipped percentage crosses a
-configurable threshold.
+flag raised when the mean tokens-skipped percentage crosses
+``SKIP_THRESHOLD_PCT``.
 
 ``mutate_corpus`` manufactures faulty inputs from clean ones by seeded
 token-level edits, so desk-scale experiments are reproducible.
@@ -38,15 +38,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
-from .cli import non_negative_int, token_mismatch
-from .grammar import Grammar, GrammarError, parse_grammar
-from .lexer import LexError, LexSpec, LexSpecError
-from .lrtable import build_tables
+from .cli import TIMEOUT_MS, at_least, load_language
+from .lexer import LexError, LexSpec
+from .lrtable import StateTable, build_tables
 from .parser import RECOVERERS, ParserInternalError, RecoveryParams, parse
 
 # Mean tokens-skipped percentage above which a recoverer is flagged as
 # suspiciously deletion-happy.
-DEFAULT_SKIP_THRESHOLD_PCT = 10.0
+SKIP_THRESHOLD_PCT = 10.0
 
 # The level of ``bootstrap``'s intervals, which the summary table and the
 # --bootstrap help print.
@@ -102,7 +101,6 @@ class SummaryStats:
     failure_rate_pct: float
     tokens_skipped_pct: float         # mean of the per-run percentages
     error_locations: float            # per pass over the corpus
-    skip_threshold_pct: float = DEFAULT_SKIP_THRESHOLD_PCT
     excess_skipping: bool = False
     intervals: Optional[dict[str, tuple[float, float]]] = None
     skipped_files: list[tuple[str, str]] = field(default_factory=list)
@@ -137,14 +135,13 @@ def _load_corpus(corpus: Corpus) -> tuple[list[tuple[str, str]], list[tuple[str,
 
 def run_corpus(
     corpus: Corpus,
-    grammar: Grammar,
+    table: StateTable,
     lexspec: LexSpec,
     recoverer: str = "cpctplus",
     params: Optional[RecoveryParams] = None,
     repeats: int = 5,
-    skip_threshold_pct: float = DEFAULT_SKIP_THRESHOLD_PCT,
 ) -> tuple[list[BenchRecord], SummaryStats]:
-    """Benchmark one recoverer over a corpus.
+    """Benchmark one recoverer over a corpus, parsed on ``table``.
 
     Returns one record per (file, repeat) plus a summary.  Unlexable and
     unreadable files are skipped and listed in ``summary.skipped_files``
@@ -152,7 +149,6 @@ def run_corpus(
     """
     params = params or RecoveryParams()
     files, skipped = _load_corpus(corpus)
-    table = build_tables(grammar)
     records: list[BenchRecord] = []
     for name, text in files:
         try:
@@ -176,18 +172,11 @@ def run_corpus(
                 )
             )
 
-    summary = summarize(
-        records,
-        skip_threshold_pct=skip_threshold_pct,
-        skipped_files=skipped,
-        recoverer=recoverer,
-    )
-    return records, summary
+    return records, summarize(records, skipped_files=skipped, recoverer=recoverer)
 
 
 def summarize(
     records: Sequence[BenchRecord],
-    skip_threshold_pct: float = DEFAULT_SKIP_THRESHOLD_PCT,
     skipped_files: Optional[list[tuple[str, str]]] = None,
     recoverer: Optional[str] = None,
 ) -> SummaryStats:
@@ -203,8 +192,7 @@ def summarize(
             statistics.median(r.recovery_time_s for r in records) if records else 0.0
         ),
         mean_cost=_mean_cost(records),
-        skip_threshold_pct=skip_threshold_pct,
-        excess_skipping=figures["tokens_skipped_pct"] > skip_threshold_pct,
+        excess_skipping=figures["tokens_skipped_pct"] > SKIP_THRESHOLD_PCT,
         skipped_files=skipped_files or [],
         **figures,
     )
@@ -376,19 +364,12 @@ def format_summary_table(summaries: Sequence[SummaryStats]) -> str:
         if s.excess_skipping:
             lines.append(
                 f"warning: {s.recoverer} skipped {s.tokens_skipped_pct:.1f}% of "
-                f"input on average (threshold {s.skip_threshold_pct:.1f}%) — "
+                f"input on average (threshold {SKIP_THRESHOLD_PCT:.1f}%) — "
                 "its repairs may be degenerate"
             )
         for name, reason in s.skipped_files:
             lines.append(f"note: {s.recoverer} skipped {name} ({reason})")
     return "\n".join(lines)
-
-
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
 
 
 def main(argv=None) -> int:
@@ -405,25 +386,18 @@ def main(argv=None) -> int:
         choices=RECOVERERS,
         help="strategy to benchmark (repeatable; default: cpctplus)",
     )
-    ap.add_argument("--repeats", type=_positive_int, default=5)
-    ap.add_argument("--timeout", type=non_negative_int, default=500, metavar="MS")
+    ap.add_argument("--repeats", type=at_least(1), default=5)
+    ap.add_argument("--timeout", type=at_least(0), default=TIMEOUT_MS, metavar="MS")
     ap.add_argument("--csv", metavar="PATH", help="write per-run records here")
     ap.add_argument(
         "--bootstrap",
-        type=int,
+        type=at_least(0),
         default=0,
         metavar="N",
         # The formatted level ends in "%"; argparse needs it doubled.
         help=f"bootstrap iterations for {CONFIDENCE:.0%}% intervals (0 = off)",
     )
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument(
-        "--skip-threshold",
-        type=float,
-        default=DEFAULT_SKIP_THRESHOLD_PCT,
-        metavar="PCT",
-        help="flag recoverers whose mean skipped-tokens %% exceeds this",
-    )
     args = ap.parse_args(argv)
 
     def complain(msg: str) -> int:
@@ -432,19 +406,12 @@ def main(argv=None) -> int:
 
     if not Path(args.corpus).is_dir():
         return complain(f"corpus directory not found: {args.corpus}")
-    loaded = []
-    for path, load in ((args.lexer, LexSpec.parse), (args.grammar, parse_grammar)):
-        try:
-            loaded.append(load(Path(path).read_text(encoding="utf-8")))
-        except OSError as e:
-            return complain(str(e))
-        except (UnicodeDecodeError, LexSpecError, GrammarError) as e:
-            return complain(f"{path}: {e}")
-    lexspec, grammar = loaded
-    mismatch = token_mismatch(lexspec, grammar, args.lexer, args.grammar)
-    if mismatch:
-        return complain(mismatch)
+    try:
+        lexspec, grammar = load_language(args.lexer, args.grammar)
+    except ValueError as e:
+        return complain(str(e))
 
+    table = build_tables(grammar)
     params = RecoveryParams(timeout_s=args.timeout / 1000.0)
     all_records: list[BenchRecord] = []
     summaries = []
@@ -452,18 +419,12 @@ def main(argv=None) -> int:
         t0 = time.monotonic()
         try:
             records, summary = run_corpus(
-                args.corpus,
-                grammar,
-                lexspec,
-                recoverer=rec,
-                params=params,
-                repeats=args.repeats,
-                skip_threshold_pct=args.skip_threshold,
+                args.corpus, table, lexspec, recoverer=rec, params=params, repeats=args.repeats
             )
         except ParserInternalError as e:
             return complain(f"{rec}: parsing failed: {e}")
         wall = time.monotonic() - t0
-        if args.bootstrap > 0 and records:
+        if args.bootstrap and records:
             summary.intervals = bootstrap(
                 records, iterations=args.bootstrap, seed=args.seed
             )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
+from typing import Callable
 
 from .grammar import Grammar, GrammarError, parse_grammar
 from .lexer import LexError, LexSpec, LexSpecError, Token
@@ -27,30 +27,57 @@ from .parser import (
 )
 
 
-def non_negative_int(text: str) -> int:
-    """argparse type for ``--timeout``: a whole number of milliseconds."""
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {n}")
-    return n
+def at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: a whole number of at least ``low``."""
+
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return integer
 
 
-def token_mismatch(lexspec: LexSpec, grammar: Grammar, lexer_name: str,
-                   grammar_name: str) -> Optional[str]:
-    """Why the lexer and grammar cannot work together, or None: a grammar
-    token that no lexer rule produces, or a lexer token that the grammar
-    does not declare (``parse`` would raise ``ValueError`` on it)."""
-    produced = lexspec.token_names()
-    missing = [t for t in grammar.tokens if t not in produced]
+# ``--timeout``'s default: the library's budget, in milliseconds.
+TIMEOUT_MS = round(RecoveryParams.timeout_s * 1000)
+
+
+def _read_text(path: str) -> str:
+    """The UTF-8 text of ``path``; raises ValueError with the line to print."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except OSError as e:
+        raise ValueError(str(e)) from None
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8: {e}") from None
+
+
+def load_language(lexer_path: str, grammar_path: str) -> tuple[LexSpec, Grammar]:
+    """The lexer and grammar of two files, read as UTF-8, parsed, and
+    checked to agree on the token types: each grammar token has a lexer
+    rule, and each lexer token is declared (``parse`` would raise
+    ``ValueError`` on it).  Raises ValueError with the line to print."""
+    specs = []
+    for path, load in ((lexer_path, LexSpec.parse), (grammar_path, parse_grammar)):
+        text = _read_text(path)
+        try:
+            specs.append(load(text))
+        except (LexSpecError, GrammarError) as e:
+            raise ValueError(f"{path}: {e}") from None
+    lexspec, grammar = specs
+    produced = {name for _, name in lexspec.rules if name is not None}
+    missing = sorted(set(grammar.tokens) - produced)
     if missing:
-        return f"{lexer_name}: no rule produces token(s) {', '.join(sorted(missing))}"
-    unknown = [t for t in produced if t not in grammar.tokens]
+        raise ValueError(f"{lexer_path}: no rule produces token(s) {', '.join(missing)}")
+    unknown = sorted(produced - set(grammar.tokens))
     if unknown:
-        return (
-            f"{lexer_name}: rules produce token(s) {', '.join(sorted(unknown))} "
-            f"that {grammar_name} does not declare"
+        raise ValueError(
+            f"{lexer_path}: rules produce token(s) {', '.join(unknown)} "
+            f"that {grammar_path} does not declare"
         )
-    return None
+    return lexspec, grammar
 
 
 def _format_report(report: RecoveryReport, src: str, toks: list[Token], off: int) -> str:
@@ -87,10 +114,10 @@ def main(argv=None) -> int:
     )
     ap.add_argument(
         "--timeout",
-        type=non_negative_int,
-        default=500,
+        type=at_least(0),
+        default=TIMEOUT_MS,
         metavar="MS",
-        help="total error-recovery budget per file, in milliseconds (default: 500)",
+        help="total error-recovery budget per file, in milliseconds (default: %(default)s)",
     )
     ap.add_argument("--print-tree", action="store_true", help="print the parse tree")
     ap.add_argument(
@@ -102,29 +129,11 @@ def main(argv=None) -> int:
         print(f"lrfix: {msg}", file=sys.stderr)
         return 2
 
-    texts = []
-    for path in (args.lexer, args.grammar, args.input):
-        try:
-            with open(path, encoding="utf-8") as f:
-                texts.append(f.read())
-        except OSError as e:
-            return complain(str(e))
-        except UnicodeDecodeError as e:
-            return complain(f"{path}: not UTF-8: {e}")
-    lex_text, grammar_text, src = texts
-
     try:
-        lexspec = LexSpec.parse(lex_text)
-    except LexSpecError as e:
-        return complain(f"{args.lexer}: {e}")
-    try:
-        grammar = parse_grammar(grammar_text)
-    except GrammarError as e:
-        return complain(f"{args.grammar}: {e}")
-
-    mismatch = token_mismatch(lexspec, grammar, args.lexer, args.grammar)
-    if mismatch:
-        return complain(mismatch)
+        lexspec, grammar = load_language(args.lexer, args.grammar)
+        src = _read_text(args.input)
+    except ValueError as e:
+        return complain(str(e))
 
     table = build_tables(grammar)
     if table.conflicts and not args.quiet:

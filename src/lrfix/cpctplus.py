@@ -9,8 +9,8 @@ insert cost (an int of at least 1) is given, shifts cost 0.  A branch
 ``n_shifts`` input tokens in a row: genuine repairs let real input flow
 again, so demanding a run of shifts filters out edits that only thrash.
 
-The frontier is kept in cost-ordered buckets (a Dijkstra-style queue on a
-uniform cost grid).  Configurations that *compatible* paths reached —
+The frontier is kept in cost-ordered buckets, one per cost that has
+arrivals queued (a Dijkstra-style queue on integer costs).  Configurations that *compatible* paths reached —
 same parser stack, same input position, same trailing shift run, same
 just-deleted flag — are explored once: those four fields are packed into
 one int key, and one table maps it to the repair node of its first
@@ -151,8 +151,8 @@ class _Search:
     *Configurations.*  ``ref``, ``offset``, ``tail`` (the main path's
     trailing shift count) and ``after_delete`` (whether its last repair was
     a delete) pack into one int key.  ``best`` maps a key to the repair node
-    of its first arrival; each cost bucket in ``todo`` is a flat list of
-    ``key, node`` pairs.
+    of its first arrival; ``todo`` maps each cost with queued arrivals to
+    its bucket, a flat list of ``key, node`` pairs.
 
     *Repair DAG.*  Node ``i`` has the code ``repair[i]``, the path before it
     ``parent[i]`` and its arrival's cost ``cost[i]``; node 0 is the empty
@@ -208,7 +208,7 @@ class _Search:
 
         self.repair = array("i", [NO_REPAIR])
         self.parent = array("i", [NO_REPAIR])
-        self.cost = array("i", [0])
+        self.cost = array("q", [0])  # 64 bits: see MAX_INSERT_COST
         self.merged: dict[int, list[int]] = {}
         self.merges = 0
         self.c_max: Optional[int] = None
@@ -219,7 +219,7 @@ class _Search:
         # 0: a shift moves the offset on, and a reduce chain back to it would loop.
         key = ref << self.ref_shift | offset << self.off_shift
         self.best: dict[int, int] = {key: ROOT}  # key -> repair node of its first arrival
-        self.todo: list[list[int]] = [[key, ROOT]]  # per cost: key, node pairs, popped last first
+        self.todo: dict[int, list[int]] = {0: [key, ROOT]}  # popped last first
 
     # -- stacks -----------------------------------------------------------------------
 
@@ -331,10 +331,9 @@ class _Search:
         rm = self._node(code, rm, cost)
         if self.merge:
             self.best[key] = rm
-        todo = self.todo
-        while len(todo) <= cost:
-            todo.append([])
-        bucket = todo[cost]
+        bucket = self.todo.get(cost)
+        if bucket is None:
+            bucket = self.todo[cost] = []
         bucket.append(key)
         bucket.append(rm)
 
@@ -424,11 +423,14 @@ class _Search:
         successes = []
         pending: list[int] = []  # the bucket below's configurations, dead edits unbuilt
         todo = self.todo
-        cost = 0
-        while cost < len(todo) or pending:
-            if cost == len(todo):
-                todo.append([])
-            bucket = todo[cost]
+        cost = -1
+        while todo or pending:
+            # Pending dead edits need the next cost; otherwise no cost between
+            # here and the cheapest queued one has anything to expand.
+            cost = cost + 1 if pending else min(todo)
+            bucket = todo.get(cost)
+            if bucket is None:
+                bucket = todo[cost] = []
             expanded = []
             while True:
                 while bucket:
@@ -457,12 +459,12 @@ class _Search:
                 # the one below are needed after all; drain what they add.
                 self._edits(cost - 1, pending, True)
                 pending = []
+            del todo[cost]
             # Its live edits land only in costlier buckets, so building them
             # now, in pop order, fills those buckets as building them at
             # each pop would have; its dead edits wait for the next bucket.
             self._edits(cost, expanded, False)
             pending = expanded
-            cost += 1
         return []
 
     def sequences(self, configs: list[tuple[int, int, int]]) -> list[list[Repair]]:
@@ -675,21 +677,18 @@ def oracle_min_repairs(
                 raise ParserInternalError("reduce chain did not terminate")
 
     start = (tuple(stack), offset, ())
-    levels: list[list] = [[start]]
+    levels: dict[int, list] = {0: [start]}  # each cost up to cost_bound with states queued
     seen = {start}
 
     def emit(cost: int, state) -> None:
-        if state not in seen:
+        if cost <= cost_bound and state not in seen:
             seen.add(state)
-            while len(levels) <= cost:
-                levels.append([])
-            levels[cost].append(state)
+            levels.setdefault(cost, []).append(state)
 
     successes: list[tuple] = []
-    for cost in range(cost_bound + 1):
-        if cost >= len(levels):
-            break
-        queue = deque(levels[cost])
+    while levels:
+        cost = min(levels)
+        queue = deque(levels.pop(cost))
         while queue:
             stk, off, reps = queue.popleft()
             if len(reps) >= n_shifts and all(r == "s" for r in reps[-n_shifts:]):

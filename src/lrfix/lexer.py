@@ -200,13 +200,6 @@ class LexSpec:
             raise LexSpecError("no rules in lexer file")
         return cls(rules)
 
-    def token_names(self) -> list[str]:
-        seen: list[str] = []
-        for _, name in self.rules:
-            if name is not None and name not in seen:
-                seen.append(name)
-        return seen
-
     def lex(self, src: str) -> list[Token]:
         toks: list[Token] = []
         new = tuple.__new__  # Token(...) without NamedTuple's __new__ call

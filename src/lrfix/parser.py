@@ -24,6 +24,7 @@ recovery (not ordinary parsing) is accumulated, and once it exceeds
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -39,6 +40,10 @@ from .lrtable import ACCEPT_CELL, ERROR_CELL, StateTable
 REDUCE_CHAIN_LIMIT = 100_000
 
 RECOVERERS = ("cpctplus", "cpctplus-rev", "panic", "none")
+
+# The dearest insert: a repair path has fewer than 2**31 edits (the search
+# numbers its nodes with 32-bit ints), so its cost fits in 63 bits.
+MAX_INSERT_COST = 2**32 - 1
 
 
 class ParserInternalError(Exception):
@@ -107,28 +112,34 @@ class RecoveryParams:
     n_shifts: int = 3          # trailing shifts that count as resynchronized
     n_try: int = 250           # tokens a candidate repair is test-parsed over
     timeout_s: float = 0.5     # total recovery budget per file
-    insert_cost: Optional[Callable[[str], int]] = None  # per-token insert cost, an int >= 1
+    # Per-token insert cost, an int from 1 to MAX_INSERT_COST.
+    insert_cost: Optional[Callable[[str], int]] = None
 
     def __post_init__(self) -> None:
-        if self.n_shifts < 1:
-            raise ValueError("n_shifts must be at least 1")
-        if self.n_try < self.n_shifts:
-            raise ValueError("n_try must be at least n_shifts")
-        if not self.timeout_s >= 0:  # also catches NaN, which compares false
+        if type(self.n_shifts) is not int or self.n_shifts < 1:
+            raise ValueError(f"n_shifts must be an int >= 1, got {self.n_shifts!r}")
+        if type(self.n_try) is not int or self.n_try < self.n_shifts:
+            raise ValueError(f"n_try must be an int >= n_shifts, got {self.n_try!r}")
+        # ``not >=`` also catches NaN, which compares false.
+        if not isinstance(self.timeout_s, numbers.Real) or not self.timeout_s >= 0:
             raise ValueError(f"timeout_s must be a number >= 0, got {self.timeout_s!r}")
 
     def cost_of_insert(self, token: str) -> int:
         """The cost of inserting ``token``: 1 unless ``insert_cost`` is set.
 
         Raises ValueError, naming the token, when ``insert_cost`` returns
-        anything but an int of at least 1: the search's cost buckets, and
-        its rule that every edit costs at least 1, rely on it.
+        anything but an int from 1 to ``MAX_INSERT_COST``: the search's
+        cost buckets, its rule that every edit costs at least 1, and its
+        64-bit cost column rely on it.
         """
         if self.insert_cost is None:
             return 1
         cost = self.insert_cost(token)
-        if not isinstance(cost, int) or cost < 1:
-            raise ValueError(f"insert_cost({token!r}) returned {cost!r}; it must be an int >= 1")
+        if not isinstance(cost, int) or not 1 <= cost <= MAX_INSERT_COST:
+            raise ValueError(
+                f"insert_cost({token!r}) returned {cost!r}; "
+                f"it must be an int from 1 to {MAX_INSERT_COST}"
+            )
         return cost
 
 

@@ -34,7 +34,6 @@ from conftest import (
     agreement_dfs,
     err_point,
     first_error,
-    grammar_of,
     lexspec_of,
     synth_toks,
     table_of,
@@ -219,9 +218,9 @@ def _make_clean_corpus(n_files):
 def test_criterion_08_reversed_ranking_is_never_better():
     files = mutate_corpus(_make_clean_corpus(500), lexspec_of("stmt"), seed=4, edits_per_file=2)
     assert len(files) >= 500
-    g, lx = grammar_of("stmt"), lexspec_of("stmt")
-    _, fwd = run_corpus(files, g, lx, recoverer="cpctplus", repeats=1)
-    _, rev = run_corpus(files, g, lx, recoverer="cpctplus-rev", repeats=1)
+    t, lx = table_of("stmt"), lexspec_of("stmt")
+    _, fwd = run_corpus(files, t, lx, recoverer="cpctplus", repeats=1)
+    _, rev = run_corpus(files, t, lx, recoverer="cpctplus-rev", repeats=1)
     assert fwd.mean_cost is not None and rev.mean_cost is not None
     assert rev.error_locations >= fwd.error_locations
     assert rev.mean_cost >= fwd.mean_cost
@@ -288,7 +287,7 @@ def test_criterion_09_cli_golden_runs(capsys):
 
 def test_criterion_10_bench_accounting_adds_up(tmp_path):
     (tmp_path / "one.txt").write_text("x = 1 1 ;\n")
-    g, lx = grammar_of("stmt"), lexspec_of("stmt")
+    lx = lexspec_of("stmt")
 
     # what should the cost and skip percentage be?  ask the tables directly
     table = table_of("stmt")
@@ -302,7 +301,7 @@ def test_criterion_10_bench_accounting_adds_up(tmp_path):
     applied_deletes = sum(1 for rep in r.reports[0].applied if rep.kind == "delete")
     expect_pct = 100.0 * applied_deletes / 5
 
-    records, summary = run_corpus(tmp_path, g, lx, repeats=3)
+    records, summary = run_corpus(tmp_path, table, lx, repeats=3)
     assert len(records) == 3
     for rec in records:
         assert rec.success

@@ -16,9 +16,9 @@ from lrfix.bench import (
     write_csv,
 )
 
-from conftest import FIXTURES, grammar_of, lexspec_of
+from conftest import FIXTURES, lexspec_of, table_of
 
-STMT_G = grammar_of("stmt")
+STMT_T = table_of("stmt")
 STMT_L = lexspec_of("stmt")
 
 
@@ -32,7 +32,7 @@ def make_corpus(tmp_path):
 
 def test_run_corpus_records_and_skips(tmp_path):
     corpus = make_corpus(tmp_path)
-    records, summary = run_corpus(corpus, STMT_G, STMT_L, repeats=3)
+    records, summary = run_corpus(corpus, STMT_T, STMT_L, repeats=3)
 
     assert [r.file for r in records] == ["a_good.txt"] * 3 + ["b_bad.txt"] * 3
     assert [r.repeat for r in records] == [0, 1, 2, 0, 1, 2]
@@ -75,11 +75,11 @@ def test_run_corpus_records_and_skips(tmp_path):
 
 def test_run_corpus_needs_a_directory_and_ignores_subdirectories(tmp_path):
     with pytest.raises(NotADirectoryError, match="corpus directory not found"):
-        run_corpus(tmp_path / "nope", STMT_G, STMT_L)
+        run_corpus(tmp_path / "nope", STMT_T, STMT_L)
     (tmp_path / "a.txt").write_text("x = 1 ;\n")
     (tmp_path / "sub").mkdir()
     (tmp_path / "sub" / "b.txt").write_text("x = 1 ;\n")
-    records, summary = run_corpus(tmp_path, STMT_G, STMT_L, repeats=1)
+    records, summary = run_corpus(tmp_path, STMT_T, STMT_L, repeats=1)
     assert [r.file for r in records] == ["a.txt"]
     assert summary.skipped_files == []
 
@@ -89,7 +89,7 @@ def test_failed_runs_keep_time_but_not_costs(tmp_path):
     from lrfix.parser import RecoveryParams
 
     records, summary = run_corpus(
-        tmp_path, STMT_G, STMT_L, repeats=2,
+        tmp_path, STMT_T, STMT_L, repeats=2,
         params=RecoveryParams(timeout_s=1e-9),
     )
     assert all(not r.success for r in records)
@@ -105,7 +105,7 @@ def test_error_locations_cover_every_failing_file(tmp_path):
     (tmp_path / "a.txt").write_text("x = 1 1 ;\n")
     (tmp_path / "b.txt").write_text("= = =\n")
     (tmp_path / "c.txt").write_text("x = 1 ;\n")
-    records, _ = run_corpus(tmp_path, STMT_G, STMT_L, repeats=1)
+    records, _ = run_corpus(tmp_path, STMT_T, STMT_L, repeats=1)
     failing_or_repaired = [r for r in records if r.error_locations > 0]
     assert sum(r.error_locations for r in records) >= len(failing_or_repaired)
     assert all(0.0 <= r.tokens_skipped_pct <= 100.0 for r in records)
@@ -113,7 +113,7 @@ def test_error_locations_cover_every_failing_file(tmp_path):
 
 def test_csv_columns_are_exact(tmp_path):
     corpus = make_corpus(tmp_path)
-    records, _ = run_corpus(corpus, STMT_G, STMT_L, repeats=2)
+    records, _ = run_corpus(corpus, STMT_T, STMT_L, repeats=2)
     out = tmp_path / "out.csv"
     write_csv(records, out)
     with open(out, newline="") as f:
@@ -133,7 +133,7 @@ def test_csv_columns_are_exact(tmp_path):
 
 def test_multi_error_costs_join_with_semicolons(tmp_path):
     (tmp_path / "two.txt").write_text("x = 1 1 ; y = ;\n")
-    records, _ = run_corpus(tmp_path, STMT_G, STMT_L, repeats=1)
+    records, _ = run_corpus(tmp_path, STMT_T, STMT_L, repeats=1)
     out = tmp_path / "out.csv"
     write_csv(records, out)
     with open(out, newline="") as f:
@@ -142,10 +142,10 @@ def test_multi_error_costs_join_with_semicolons(tmp_path):
     assert ";" in row[6] and row[6].count(";") == 1
 
 
-def test_excess_skipping_flag(tmp_path):
-    (tmp_path / "x.txt").write_text("x = 1 1 ;\n")   # repaired by one delete: 20%
-    _, strict = run_corpus(tmp_path, STMT_G, STMT_L, repeats=1, skip_threshold_pct=5.0)
-    _, lax = run_corpus(tmp_path, STMT_G, STMT_L, repeats=1, skip_threshold_pct=50.0)
+def test_excess_skipping_flag():
+    # Each file is repaired by one delete: 1 of 5 tokens (20%), 1 of 13 (7.7%).
+    _, strict = run_corpus([("x.txt", "x = 1 1 ;\n")], STMT_T, STMT_L, repeats=1)
+    _, lax = run_corpus([("x.txt", "x = 1 1 ; y = 2 ; z = 3 ;\n")], STMT_T, STMT_L, repeats=1)
     assert strict.excess_skipping
     assert not lax.excess_skipping
     assert "warning" in format_summary_table([strict])
@@ -259,7 +259,7 @@ def test_mutation_is_deterministic_per_seed():
 def test_zero_edits_is_identity_and_still_parses():
     files = clean_files()
     assert mutate_corpus(files, STMT_L, seed=5, edits_per_file=0) == files
-    _, summary = run_corpus(files, STMT_G, STMT_L, repeats=1)
+    _, summary = run_corpus(files, STMT_T, STMT_L, repeats=1)
     assert summary.failure_rate_pct == 0.0
     assert summary.error_locations == 0
 
@@ -267,7 +267,7 @@ def test_zero_edits_is_identity_and_still_parses():
 def test_single_edit_usually_breaks_the_file():
     files = clean_files()
     mutated = mutate_corpus(files, STMT_L, seed=5, edits_per_file=1)
-    records, summary = run_corpus(mutated, STMT_G, STMT_L, repeats=1)
+    records, summary = run_corpus(mutated, STMT_T, STMT_L, repeats=1)
     assert sum(1 for r in records if r.error_locations > 0) > len(files) // 2
 
 
@@ -300,7 +300,7 @@ def test_error_locations_count_one_pass_whatever_the_repeats(tmp_path):
     corpus = make_corpus(tmp_path)
     (tmp_path / "e_two_errors.txt").write_text("x = 1 1 ; y = ;\n")
     for repeats in (1, 4):
-        records, summary = run_corpus(corpus, STMT_G, STMT_L, repeats=repeats)
+        records, summary = run_corpus(corpus, STMT_T, STMT_L, repeats=repeats)
         assert summary.runs == 3 * repeats
         assert summary.error_locations == 3
     summary.intervals = bootstrap(records, iterations=50)
@@ -396,6 +396,20 @@ def test_main_names_the_file_of_a_bad_lexer_or_grammar(tmp_path, capsys):
     )
     assert main([str(FIXTURES / "calc.l"), str(g), str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"bench: {g}: line 3: unexpected character '@'\n"
+
+
+def test_main_rejects_a_negative_bootstrap(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*STMT_ARGS, str(tmp_path), "--bootstrap", "-1"])
+    assert exc.value.code == 2
+    assert "--bootstrap" in capsys.readouterr().err
+
+
+def test_main_rejects_a_lexer_file_that_is_not_utf8(tmp_path, capsys):
+    lx = tmp_path / "bad.l"
+    lx.write_bytes(b"[0-9]+ 'NUM' \xff\n")
+    assert main([str(lx), str(FIXTURES / "stmt.y"), str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"bench: {lx}: not UTF-8: ")
 
 
 def test_main_rejects_a_negative_timeout(tmp_path, capsys):

@@ -94,6 +94,16 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert out.err.startswith(f"lrfix: {src}: not UTF-8")
 
 
+def test_lexer_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    lx = tmp_path / "bad.l"
+    lx.write_bytes(b"[0-9]+ 'INT' \xff\n")
+    code = main([str(lx), CALC_Y, str(INPUTS / "calc_good.txt")])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith(f"lrfix: {lx}: not UTF-8: ")
+
+
 def test_bad_grammar_file_exits_two(tmp_path, capsys):
     bad = tmp_path / "g.y"
     bad.write_text("%%\nS: Undefined;")

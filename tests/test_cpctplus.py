@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import random
+import sys
 import time
 import tracemalloc
 import types
@@ -110,6 +111,19 @@ def test_weighted_inserts_change_the_minimum():
     assert raw.sequences == {(D, D), (I("*"), S, D), (I("+"), S, D)}
 
 
+def test_a_dear_insert_leaves_the_costs_below_it_unvisited():
+    # No arrival costs from 3 to 10**6 - 1, and the search skips those
+    # costs rather than visiting each, so a 10 ms budget is plenty.
+    t, stack, ids, idx = err_point("calc", ["INT", "INT", "+"])
+    dear = lambda tok: 10**6 if tok == "INT" else 1
+    params = RecoveryParams(timeout_s=0.01, insert_cost=dear)
+    raw = min_repair_sequences(t, stack, ids, idx, params)
+    assert (raw.cost, raw.sequences) == (2, {(D, D), (I("*"), S, D), (I("+"), S, D)})
+    assert repair_search(t, stack, ids, idx, params).cost == 2
+    costs = [dear(tok) for tok in t.tokens[: t.eof]]
+    assert oracle_min_repairs(t, list(stack), ids, idx, insert_cost=costs) == (2, raw.sequences)
+
+
 # Errors in calc where inserting '(' is a dead end: the next token then
 # meets an error cell, so the insert waits until the next cost level has
 # failed, yet minimum-cost sequences pass through it.  Each entry: the
@@ -149,7 +163,7 @@ def test_minimum_cost_paths_through_a_dead_arrival(text, table_merge, merge):
         assert oracle_min_repairs(t, list(stack), ids, idx, insert_cost=insert_cost) == expected
 
 
-@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0])
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0, sys.maxsize])
 def test_insert_costs_must_be_positive_ints(bad):
     t, stack, ids, idx = err_point("calc", ["INT", "INT", "+"])
     params = RecoveryParams(insert_cost=lambda tok: bad if tok == "INT" else 1)
@@ -239,7 +253,7 @@ def test_the_budget_bounds_ranking_and_expansion(name, monkeypatch):
     late = []
 
     def note_successes(self, cost, rm, code, stack, offset, tail, after_delete):
-        n = len(self.todo[cost]) if cost < len(self.todo) else 0
+        n = len(self.todo.get(cost, ()))
         add(self, cost, rm, code, stack, offset, tail, after_delete)
         if len(self.todo[cost]) > n and (
             t.act[self.stack_list(stack)[-1]][ids[offset]] == ACCEPT_CELL or tail >= n_shifts
@@ -832,6 +846,12 @@ RECIPE_CEILINGS = {
 }
 RECIPE_PARAMS = RecoveryParams(timeout_s=30)
 
+# A right-recursive calc input, so the parser's stack grows with its
+# length: 1,000 tokens with an error at each "1 1".  Error locations,
+# sequences, and one sha256 over each location's (offset, cost,
+# sequences, applied), in order.
+DEEP_STACK = (200, 404, "2df8311928e7f9bbd5d7bd49ad842c1280576c574a7c1a18e3b40219e24cdd14")
+
 
 @functools.lru_cache(maxsize=None)
 def recipe_files():
@@ -858,6 +878,20 @@ def test_recipe_outcomes_match_golden_digest(recoverer):
             locations += 1
             sequences += len(r.sequences)
     assert (locations, sequences, digest.hexdigest()) == RECIPE[recoverer]
+
+
+def test_deep_stack_outcomes_match_golden_digest():
+    t = table_of("calc")
+    text = "1 + 1 1 + " * 200
+    toks = toks_of("calc", text)
+    params = RecoveryParams(timeout_s=1e6)
+    result = parse(t, toks, text, params=params)
+    assert result.success and all(r.success for r in result.reports)
+    digest = hashlib.sha256()
+    for r in result.reports:
+        digest.update(repr((r.offset, r.cost, r.sequences, r.applied)).encode())
+    replayed = check_file(t, toks, result, params)  # every sequence replays
+    assert (len(result.reports), replayed, digest.hexdigest()) == DEEP_STACK
 
 
 def test_recipe_repair_nodes_stay_under_a_ceiling(monkeypatch):

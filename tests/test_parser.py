@@ -211,9 +211,15 @@ def test_recovery_params_validation():
         RecoveryParams(n_shifts=0)
     with pytest.raises(ValueError):
         RecoveryParams(n_shifts=4, n_try=2)
+    for bad in (2.0, "3", True):
+        with pytest.raises(ValueError, match="n_shifts"):
+            RecoveryParams(n_shifts=bad)
+    for bad in (250.0, "250", None):
+        with pytest.raises(ValueError, match="n_try"):
+            RecoveryParams(n_try=bad)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -0.1, float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), -0.1, float("-inf"), "0.5", None])
 def test_timeout_must_be_a_number_at_least_zero(bad):
     # With NaN the search's deadline comparisons are all false, so it never
     # stopped.
